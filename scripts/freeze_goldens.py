@@ -26,7 +26,26 @@ from toonmotion.cli import main as cli_main
 from toonmotion.face_engine import schedule_blinks
 from toonmotion.text_semantics import reference_embed
 
-GOLDENS = REPO / "tests" / "fixtures" / "goldens"
+FIXTURES = REPO / "tests" / "fixtures"
+GOLDENS = FIXTURES / "goldens"
+BUNDLE_GOLDENS = GOLDENS / "bundles"
+
+# Full synthesize requests on the fixture config. Each golden directory holds
+# the request (phoneme path relative to tests/fixtures) next to the three
+# bundle members, so the test replays exactly what was frozen.
+BUNDLE_REQUESTS = {
+    "short_en": {"text": "Hello there. That is wonderful!", "duration": 4.5,
+                 "seed": 7, "phonemes": None},
+    "multi_phrase": {
+        "text": "Hello there. It was this big, really truly important! "
+                "Look over there. I see, go on. Zqxv jkwp. That is wonderful!",
+        "duration": 10.0, "seed": 3, "phonemes": None,
+    },
+    "cjk": {"text": "こんにちは。本当にすごいですね！", "duration": 3.0,
+            "seed": 1, "phonemes": None},
+    "overlay_eyes": {"text": "Wow, I cannot believe it, amazing!", "duration": 3.0,
+                     "seed": 5, "phonemes": "phonemes_wow.json"},
+}
 
 
 def freeze_reference_embedding():
@@ -84,6 +103,24 @@ def freeze_retrieve_cli():
     (GOLDENS / "retrieve_cli.json").write_text(buffer.getvalue(), encoding="utf-8")
 
 
+def freeze_bundles():
+    for name, req in BUNDLE_REQUESTS.items():
+        out = BUNDLE_GOLDENS / name
+        argv = [
+            "synthesize", "--text", req["text"], "--duration", str(req["duration"]),
+            "--seed", str(req["seed"]), "--config", str(FIXTURES / "config.json"),
+            "--out", str(out),
+        ]
+        if req["phonemes"] is not None:
+            argv += ["--phonemes", str(FIXTURES / req["phonemes"])]
+        with redirect_stdout(io.StringIO()):
+            code = cli_main(argv)
+        assert code == 0, f"synthesize failed for golden bundle {name!r}"
+        (out / "request.json").write_text(
+            json.dumps(req, ensure_ascii=False, indent=1) + "\n", encoding="utf-8"
+        )
+
+
 def freeze_neutral_draw():
     # Two neutral entries sorted by id; a forced fallback with seed 7 must
     # pick the same one forever.
@@ -102,6 +139,7 @@ def main():
     freeze_zero_pose_bvh()
     freeze_retrieve_cli()
     freeze_neutral_draw()
+    freeze_bundles()
     print(f"goldens written to {GOLDENS}")
 
 

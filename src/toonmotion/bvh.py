@@ -59,10 +59,6 @@ class Skeleton:
                     f"joint {joint.name!r} appears before its parent"
                 )
 
-    @property
-    def joint_names(self) -> list[str]:
-        return [j.name for j in self.joints]
-
     def children_of(self, index: int) -> list[int]:
         return [i for i, j in enumerate(self.joints) if j.parent == index]
 
@@ -76,14 +72,6 @@ class Skeleton:
             if not np.allclose(a.offset, b.offset, atol=tol, rtol=0.0):
                 return False
         return True
-
-
-@dataclass(frozen=True)
-class SkeletonPose:
-    """One frame: root translation (cm) plus a unit quaternion per joint."""
-
-    root_translation: np.ndarray
-    joint_rotations: np.ndarray
 
 
 @dataclass
@@ -126,9 +114,6 @@ class GestureClip:
     @property
     def duration_s(self) -> float:
         return (self.frame_count - 1) / self.fps
-
-    def pose(self, index: int) -> SkeletonPose:
-        return SkeletonPose(self.root_positions[index], self.rotations[index])
 
 
 class _TokenStream:
@@ -244,6 +229,38 @@ def _parse_offset(stream: _TokenStream) -> np.ndarray:
     )
 
 
+def _parse_joint(stream: _TokenStream, joints: list[Joint], joint_slots: list[list],
+                 name: str, parent: int):
+    """Parse one joint block (after its name) and its children, recursively."""
+    stream.expect("{")
+    offset = _parse_offset(stream)
+    order, has_pos, slots = _parse_channels(stream, parent < 0, name)
+    index = len(joints)
+    joints.append(Joint(name, parent, offset, order, has_pos))
+    joint_slots.append(slots)
+    while True:
+        tok = stream.next("JOINT, End Site or '}'")
+        if tok[0] == "}":
+            return
+        if tok[0] == "JOINT":
+            child_name = stream.next("joint name")[0]
+            _parse_joint(stream, joints, joint_slots, child_name, index)
+        elif tok[0] == "End":
+            site = stream.next("Site")
+            if site[0] != "Site":
+                raise BvhSyntaxError("expected 'Site' after 'End'",
+                                     line=site[1], column=site[2])
+            stream.expect("{")
+            joints[index].end_offset = _parse_offset(stream)
+            stream.expect("}")
+        else:
+            raise BvhSyntaxError(
+                f"unexpected token {tok[0]!r} in joint {name!r}",
+                line=tok[1],
+                column=tok[2],
+            )
+
+
 def parse_bvh(data: bytes | str, source_id: str = "") -> GestureClip:
     """Parse a BVH document into a quaternion-based GestureClip."""
     text = data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data
@@ -257,38 +274,8 @@ def parse_bvh(data: bytes | str, source_id: str = "") -> GestureClip:
 
     joints: list[Joint] = []
     joint_slots: list[list] = []
-
-    def parse_joint(name: str, parent: int):
-        stream.expect("{")
-        offset = _parse_offset(stream)
-        order, has_pos, slots = _parse_channels(stream, parent < 0, name)
-        index = len(joints)
-        joints.append(Joint(name, parent, offset, order, has_pos))
-        joint_slots.append(slots)
-        while True:
-            tok = stream.next("JOINT, End Site or '}'")
-            if tok[0] == "}":
-                return
-            if tok[0] == "JOINT":
-                child_name = stream.next("joint name")[0]
-                parse_joint(child_name, index)
-            elif tok[0] == "End":
-                site = stream.next("Site")
-                if site[0] != "Site":
-                    raise BvhSyntaxError("expected 'Site' after 'End'",
-                                         line=site[1], column=site[2])
-                stream.expect("{")
-                joints[index].end_offset = _parse_offset(stream)
-                stream.expect("}")
-            else:
-                raise BvhSyntaxError(
-                    f"unexpected token {tok[0]!r} in joint {name!r}",
-                    line=tok[1],
-                    column=tok[2],
-                )
-
     root_name = stream.next("root joint name")[0]
-    parse_joint(root_name, -1)
+    _parse_joint(stream, joints, joint_slots, root_name, -1)
     skeleton = Skeleton(joints)
 
     stream.expect("MOTION")

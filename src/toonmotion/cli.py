@@ -7,30 +7,28 @@ Exit codes: 0 success, 1 validation/data errors, 2 provider or I/O errors,
 from __future__ import annotations
 
 import argparse
-import json
 import logging
+import random
 import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import MalformedEntry, ProviderError, ValidationError
+from .errors import ProviderError, ValidationError
 from .expression_dataset import (
-    ExpressionEntry,
     annotate_emotion,
     build_dataset,
-    validate_entry,
+    check_expression_records,
+    parse_expression_record,
 )
-from .gesture_retrieval import load_gesture_dataset, retrieve_sequence
-from .jsonutil import atomic_write_text, canonical_json
+from .gesture_retrieval import load_gesture_dataset, retrieve_text
+from .jsonutil import atomic_write_text, canonical_json, iter_jsonl
 from .pipeline import (
-    Config,
     DialogueRequest,
     load_config,
     provider_clients,
     synthesize,
 )
 from .providers import LexiconEmotionProvider, ReferenceEmbedder, load_emotion_categories
-from .text_semantics import segment_phrases
 
 USAGE_EXIT = 64
 
@@ -130,24 +128,10 @@ def _cmd_annotate_emotions(args) -> int:
     categories = load_emotion_categories(
         config.emotion_categories if config else None
     )
-    entries = []
-    with open(args.dataset, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedEntry(f"invalid JSON: {exc}", line=line_no) from exc
-            entries.append(
-                ExpressionEntry(
-                    id=str(raw["id"]),
-                    blendshapes={k: float(v) for k, v in raw["blendshapes"].items()},
-                    emotions={},
-                    source=raw.get("source", {}),
-                )
-            )
+    entries = [
+        parse_expression_record(raw, line_no)
+        for line_no, raw in iter_jsonl(args.dataset)
+    ]
     for entry in entries:
         annotate_emotion(entry, provider, categories)
     entries.sort(key=lambda e: e.id)
@@ -162,50 +146,25 @@ def _cmd_validate_dataset(args) -> int:
         load_gesture_dataset(args.path, ReferenceEmbedder())
         print(canonical_json({"violations": []}))
         return 0
-    # Read entries directly instead of load_expression_dataset, which stops
-    # at the first invalid one; validation should report all of them.
-    violations: list[str] = []
-    seen: set[str] = set()
-    with open(args.path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedEntry(f"invalid JSON: {exc}", line=line_no) from exc
-            for key in ("id", "blendshapes", "emotions", "source"):
-                if key not in raw:
-                    raise MalformedEntry(
-                        f"missing field {key!r}", line=line_no, field=key
-                    )
-            entry = ExpressionEntry(
-                id=str(raw["id"]),
-                blendshapes={k: float(v) for k, v in raw["blendshapes"].items()},
-                emotions={k: float(v) for k, v in raw["emotions"].items()},
-                source=raw["source"],
-            )
-            if entry.id in seen:
-                violations.append(f"{entry.id}: duplicate id")
-            seen.add(entry.id)
-            for issue in validate_entry(entry):
-                violations.append(f"{entry.id}: {issue}")
+    violations = [
+        f"{entry.id}: {issue}"
+        for _, entry, issues in check_expression_records(args.path)
+        for issue in issues
+    ]
     print(canonical_json({"violations": violations}))
     return 0 if not violations else 1
 
 
 def _cmd_retrieve(args) -> int:
-    import random
-
     config = load_config(args.config)
     embedder, _ = provider_clients(config)
     dataset = load_gesture_dataset(config.gesture_dataset, embedder)
     threshold = (
         args.threshold if args.threshold is not None else config.similarity_threshold
     )
-    phrases = segment_phrases(args.text)
-    matches = retrieve_sequence(phrases, dataset, threshold, random.Random(args.seed))
+    phrases, matches = retrieve_text(
+        args.text, dataset, threshold, random.Random(args.seed)
+    )
     print(
         canonical_json(
             {

@@ -15,7 +15,3 @@ def smoothstep(t):
     if np.isscalar(t):
         return float(out)
     return out
-
-
-def lerp(a, b, t):
-    return a + (b - a) * t

@@ -15,6 +15,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .errors import (
     MalformedEntry,
     UnknownOption,
 )
-from .jsonutil import atomic_write_text, canonical_json
+from .jsonutil import atomic_write_text, canonical_json, iter_jsonl
 from .providers import load_emotion_categories
 
 log = logging.getLogger(__name__)
@@ -547,38 +548,60 @@ def validate_entry(entry: ExpressionEntry,
     return violations
 
 
-def load_expression_dataset(path: str | Path) -> list[ExpressionEntry]:
-    """Read an expression JSONL file, validating every entry."""
-    path = Path(path)
-    entries: list[ExpressionEntry] = []
+def _float_map(raw: dict, key: str, line_no: int | None) -> dict[str, float]:
+    value = raw[key]
+    if not isinstance(value, dict):
+        raise MalformedEntry(f"field {key!r} must be an object", line=line_no, field=key)
+    try:
+        return {name: float(v) for name, v in value.items()}
+    except (TypeError, ValueError):
+        raise MalformedEntry(
+            f"field {key!r} has a non-numeric value", line=line_no, field=key
+        ) from None
+
+
+def parse_expression_record(raw: dict, line_no: int | None = None) -> ExpressionEntry:
+    """Build an entry from one decoded expression JSONL record.
+
+    Checks the record's structure and casts its weights; value ranges and
+    channel invariants are :func:`validate_entry`'s job.
+    """
+    for key in ("id", "blendshapes", "emotions", "source"):
+        if key not in raw:
+            raise MalformedEntry(f"missing field {key!r}", line=line_no, field=key)
+    if not isinstance(raw["source"], dict):
+        raise MalformedEntry("field 'source' must be an object", line=line_no,
+                             field="source")
+    return ExpressionEntry(
+        id=str(raw["id"]),
+        blendshapes=_float_map(raw, "blendshapes", line_no),
+        emotions=_float_map(raw, "emotions", line_no),
+        source=raw["source"],
+    )
+
+
+def check_expression_records(
+    path: str | Path,
+) -> Iterator[tuple[int, ExpressionEntry, list[str]]]:
+    """Yield ``(line_no, entry, violations)`` for each record of an expression
+    JSONL file; structural errors raise :class:`MalformedEntry`."""
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedEntry(f"invalid JSON: {exc}", line=line_no) from exc
-            for key in ("id", "blendshapes", "emotions", "source"):
-                if key not in raw:
-                    raise MalformedEntry(f"missing field {key!r}", line=line_no, field=key)
-            entry = ExpressionEntry(
-                id=str(raw["id"]),
-                blendshapes={k: float(v) for k, v in raw["blendshapes"].items()},
-                emotions={k: float(v) for k, v in raw["emotions"].items()},
-                source=raw["source"],
+    for line_no, raw in iter_jsonl(path):
+        entry = parse_expression_record(raw, line_no)
+        violations = validate_entry(entry)
+        if entry.id in seen:
+            violations.insert(0, "duplicate id")
+        seen.add(entry.id)
+        yield line_no, entry, violations
+
+
+def load_expression_dataset(path: str | Path) -> list[ExpressionEntry]:
+    """Read an expression JSONL file, failing on the first invalid entry."""
+    entries: list[ExpressionEntry] = []
+    for line_no, entry, violations in check_expression_records(path):
+        if violations:
+            raise MalformedEntry(
+                f"invalid entry {entry.id!r}: {violations[0]}", line=line_no
             )
-            if entry.id in seen:
-                raise MalformedEntry(
-                    f"duplicate id {entry.id!r}", line=line_no, field="id"
-                )
-            seen.add(entry.id)
-            violations = validate_entry(entry)
-            if violations:
-                raise MalformedEntry(
-                    f"invalid entry {entry.id!r}: {violations[0]}", line=line_no
-                )
-            entries.append(entry)
+        entries.append(entry)
     return entries

@@ -53,10 +53,6 @@ _EXAGGERATION_MASK = np.array(
 )
 
 
-def channel_index(name: str) -> int:
-    return _CHANNEL_INDEX[name]
-
-
 def shapes_to_vector(shapes: dict[str, float]) -> np.ndarray:
     return np.array([shapes.get(name, 0.0) for name in CHANNEL_REGISTRY])
 

@@ -13,7 +13,6 @@ neutral gesture drawn from the caller's seeded generator.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -23,7 +22,8 @@ import numpy as np
 
 from .bvh import GestureClip, parse_bvh
 from .errors import MalformedEntry, MissingClip, NoNeutralGesture
-from .text_semantics import PhraseSpan, embed
+from .jsonutil import iter_jsonl
+from .text_semantics import PhraseSpan, embed, segment_phrases
 
 DEFAULT_SIMILARITY_THRESHOLD = 0.55
 
@@ -45,7 +45,6 @@ class GestureEntry:
     embedding: np.ndarray
     category: GestureCategory
     neutral: bool
-    clip_path: Path
     duration_s: float
 
 
@@ -67,9 +66,12 @@ class GestureDataset:
         )
         self._scored = [e for e in entries if not e.neutral]
         if self._scored:
-            self._matrix = np.stack([e.embedding for e in self._scored])
-        else:
-            self._matrix = np.zeros((0, embedder.dim), dtype=np.float64)
+            # Score each distinct embedding once: a matrix product can give
+            # identical rows different last bits depending on their position,
+            # and identical phrases must tie exactly for the id tie-break.
+            matrix = np.stack([e.embedding for e in self._scored])
+            self._matrix, row_of = np.unique(matrix, axis=0, return_inverse=True)
+            self._row_of = row_of.reshape(-1)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -81,7 +83,7 @@ class GestureDataset:
         """Highest-cosine non-neutral entry; ties broken by ascending id."""
         if not self._scored:
             return None, 0.0
-        sims = self._matrix @ query
+        sims = (self._matrix @ query)[self._row_of]
         best = float(np.max(sims))
         tied = np.flatnonzero(sims >= best - 0.0)
         winner = min((self._scored[i] for i in tied), key=lambda e: e.id)
@@ -107,24 +109,13 @@ def load_gesture_dataset(path: str | Path, embedder) -> GestureDataset:
     """Load and validate a gesture JSONL file, embedding every phrase."""
     path = Path(path)
     base = path.parent
-    entries: list[tuple[dict, int]] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedEntry(f"invalid JSON: {exc}", line=line_no) from exc
-            if not isinstance(raw, dict):
-                raise MalformedEntry("entry must be a JSON object", line=line_no)
-            entries.append((raw, line_no))
+    # Read every record first so JSON errors are reported before field errors.
+    records = list(iter_jsonl(path))
 
     seen_ids: set[str] = set()
     parsed: list[GestureEntry] = []
     clips: dict[str, GestureClip] = {}
-    for raw, line_no in entries:
+    for line_no, raw in records:
         entry_id = _require(raw, "id", str, line_no)
         if not entry_id:
             raise MalformedEntry("empty id", line=line_no, field="id")
@@ -171,7 +162,6 @@ def load_gesture_dataset(path: str | Path, embedder) -> GestureDataset:
                 embedding=np.zeros(0),
                 category=category,
                 neutral=neutral,
-                clip_path=clip_path,
                 duration_s=duration_s,
             )
         )
@@ -239,3 +229,20 @@ def retrieve_sequence(
         retrieve_gesture(p, dataset, threshold, rng, query_embedding=vec)
         for p, vec in zip(phrases, embeddings)
     ]
+
+
+def retrieve_text(
+    text: str,
+    dataset: GestureDataset,
+    threshold: float = DEFAULT_SIMILARITY_THRESHOLD,
+    rng: random.Random | None = None,
+) -> tuple[list[PhraseSpan], list[GestureMatch]]:
+    """Segment *text* into phrases and retrieve one gesture per phrase.
+
+    Delimiter-only text still gets a gesture: the trimmed text becomes one
+    phrase and retrieval falls back to neutral.
+    """
+    phrases = segment_phrases(text)
+    if not phrases:
+        phrases = [PhraseSpan(text.strip(), 0, len(text), 0)]
+    return phrases, retrieve_sequence(phrases, dataset, threshold, rng)

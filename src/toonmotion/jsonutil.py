@@ -1,4 +1,4 @@
-"""Canonical JSON output and atomic file writes.
+"""Canonical JSON output, JSONL record reading and atomic file writes.
 
 Every JSON artifact this package emits (datasets, reports, face tracks,
 manifests) goes through :func:`canonical_json` so repeated runs produce
@@ -13,7 +13,9 @@ import math
 import os
 import tempfile
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable, Iterator
+
+from .errors import MalformedEntry
 
 
 def _encode(obj: Any, out: list[str]) -> None:
@@ -62,22 +64,57 @@ def canonical_json(obj: Any) -> str:
     return "".join(out)
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Write *data* to *path* via a temp file and rename, so readers never
-    observe a partial file."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """Yield ``(line_no, object)`` for every non-blank line of a JSONL file.
+
+    Line numbers are 1-based. Invalid JSON and lines that are not JSON
+    objects raise :class:`MalformedEntry` carrying the line number.
+    """
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                raw = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise MalformedEntry(f"invalid JSON: {exc}", line=line_no) from exc
+            if not isinstance(raw, dict):
+                raise MalformedEntry("entry must be a JSON object", line=line_no)
+            yield line_no, raw
+
+
+def atomic_write_files(files: Iterable[tuple[str | Path, bytes]]) -> None:
+    """Write each ``(path, data)`` pair so readers never observe a partial file.
+
+    Every file is staged as a temporary next to its target first and all are
+    renamed last; on failure the staged temporaries are removed.
+    """
+    staged: list[tuple[str, Path]] = []
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
+        for path, data in files:
+            path = Path(path)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(
+                dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
+            )
+            staged.append((tmp, path))
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
+        for tmp, path in staged:
+            os.replace(tmp, path)
     except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        for tmp, _ in staged:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
         raise
+
+
+def atomic_write_bytes(path: str | Path, data: bytes) -> None:
+    """Write *data* to *path* via a temp file and rename."""
+    atomic_write_files([(path, data)])
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

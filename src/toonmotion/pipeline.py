@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import random
-import tempfile
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from . import __version__
@@ -30,8 +30,8 @@ from .face_engine import (
     retrieve_expression,
     schedule_blinks,
 )
-from .gesture_retrieval import load_gesture_dataset, retrieve_sequence
-from .jsonutil import canonical_json
+from .gesture_retrieval import load_gesture_dataset, retrieve_text
+from .jsonutil import atomic_write_files, canonical_json
 from .motion_compose import retime_to_speech, stitch_clips
 from .providers import (
     FallbackEmotionProvider,
@@ -41,7 +41,6 @@ from .providers import (
     ReferenceEmbedder,
     load_emotion_categories,
 )
-from .text_semantics import PhraseSpan, segment_phrases
 
 EMBED_ENDPOINT_ENV = "TOONMOTION_EMBED_ENDPOINT"
 EMOTION_ENDPOINT_ENV = "TOONMOTION_EMOTION_ENDPOINT"
@@ -74,6 +73,9 @@ class Config:
         return hashlib.sha256(canonical_json(raw).encode("utf-8")).hexdigest()
 
     def validate(self):
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite")
         if self.provider_mode not in ("offline", "remote"):
             raise ConfigError(f"provider_mode must be offline|remote, got {self.provider_mode!r}")
         if self.provider_mode == "remote":
@@ -100,32 +102,15 @@ class Config:
                 raise ConfigError(f"{label} file not found: {path}")
 
 
-_CONFIG_DEFAULTS = {
-    "provider_mode": "offline",
-    "embed_endpoint": None,
-    "emotion_endpoint": None,
-    "emotion_fallback_lexicon": False,
-    "similarity_threshold": 0.55,
-    "blend_s": 0.3,
-    "transition_s": 0.4,
-    "blink_mean_gap_s": 4.0,
-    "blink_min_gap_s": 1.0,
-    "viseme_table": None,
-    "emotion_categories": None,
-    "fps": 30.0,
-    "timeout_s": 10.0,
-    "retries": 2,
-}
+# The config file's keys are Config's public fields; annotations name the
+# cast applied on load ("Path" fields resolve against the config directory).
+_CONFIG_FIELDS = [f for f in fields(Config) if not f.name.startswith("_")]
+_CONFIG_CASTS = {"str": str, "bool": bool, "float": float, "int": int}
 
 
 def _normalize_config_dict(config: "Config") -> dict:
-    return {
-        "gesture_dataset": str(config.gesture_dataset),
-        "expression_dataset": str(config.expression_dataset),
-        **{k: getattr(config, k) if not isinstance(getattr(config, k), Path)
-           else str(getattr(config, k))
-           for k in _CONFIG_DEFAULTS},
-    }
+    values = {f.name: getattr(config, f.name) for f in _CONFIG_FIELDS}
+    return {k: str(v) if isinstance(v, Path) else v for k, v in values.items()}
 
 
 def load_config(path: str | Path) -> Config:
@@ -143,15 +128,15 @@ def load_config(path: str | Path) -> Config:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
 
-    known = set(_CONFIG_DEFAULTS) | {"gesture_dataset", "expression_dataset"}
-    unknown = set(raw) - known
+    unknown = set(raw) - {f.name for f in _CONFIG_FIELDS}
     if unknown:
         raise ConfigError(f"unknown config key {sorted(unknown)[0]!r}")
-    for key in ("gesture_dataset", "expression_dataset"):
-        if key not in raw:
-            raise ConfigError(f"config is missing {key!r}")
+    for f in _CONFIG_FIELDS:
+        if f.default is MISSING and f.name not in raw:
+            raise ConfigError(f"config is missing {f.name!r}")
 
-    merged = {**_CONFIG_DEFAULTS, **raw}
+    merged = {f.name: f.default for f in _CONFIG_FIELDS if f.default is not MISSING}
+    merged.update(raw)
     merged["embed_endpoint"] = os.environ.get(
         EMBED_ENDPOINT_ENV, merged["embed_endpoint"]
     )
@@ -159,33 +144,21 @@ def load_config(path: str | Path) -> Config:
         EMOTION_ENDPOINT_ENV, merged["emotion_endpoint"]
     )
 
-    base = path.parent
-
-    def respath(value):
-        return None if value is None else (base / value)
-
-    config = Config(
-        gesture_dataset=base / merged["gesture_dataset"],
-        expression_dataset=base / merged["expression_dataset"],
-        provider_mode=str(merged["provider_mode"]),
-        embed_endpoint=merged["embed_endpoint"],
-        emotion_endpoint=merged["emotion_endpoint"],
-        emotion_fallback_lexicon=bool(merged["emotion_fallback_lexicon"]),
-        similarity_threshold=float(merged["similarity_threshold"]),
-        blend_s=float(merged["blend_s"]),
-        transition_s=float(merged["transition_s"]),
-        blink_mean_gap_s=float(merged["blink_mean_gap_s"]),
-        blink_min_gap_s=float(merged["blink_min_gap_s"]),
-        viseme_table=respath(merged["viseme_table"]),
-        emotion_categories=respath(merged["emotion_categories"]),
-        fps=float(merged["fps"]),
-        timeout_s=float(merged["timeout_s"]),
-        retries=int(merged["retries"]),
-    )
+    values = {}
+    for f in _CONFIG_FIELDS:
+        value = merged[f.name]
+        try:
+            if f.type.startswith("Path"):
+                value = None if value is None else path.parent / value
+            elif f.type in _CONFIG_CASTS:
+                value = _CONFIG_CASTS[f.type](value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"config key {f.name!r} has invalid value {value!r}") from None
+        values[f.name] = value
+    config = Config(**values)
     # Hash the pre-resolution values so the hash does not depend on where
     # the config file happens to live.
-    config._raw = {**merged, "gesture_dataset": raw["gesture_dataset"],
-                   "expression_dataset": raw["expression_dataset"]}
+    config._raw = merged
     config.validate()
     return config
 
@@ -201,8 +174,8 @@ class DialogueRequest:
     def validate(self):
         if not self.text.strip():
             raise ValidationError("request text is empty")
-        if self.speech_duration_s <= 0:
-            raise ValidationError("speech duration must be positive")
+        if not math.isfinite(self.speech_duration_s) or self.speech_duration_s <= 0:
+            raise ValidationError("speech duration must be positive and finite")
         if self.seed < 0:
             raise ValidationError("seed must be a non-negative integer")
 
@@ -220,27 +193,11 @@ class OutputBundle:
         a failure never leaves a partially written bundle member behind.
         """
         out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        staged = []
-        try:
-            for name, data in (
-                ("body.bvh", self.body),
-                ("face.json", self.face_json.encode("utf-8")),
-                ("manifest.json", self.manifest_json.encode("utf-8")),
-            ):
-                fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=f".{name}.")
-                with os.fdopen(fd, "wb") as fh:
-                    fh.write(data)
-                staged.append((tmp, out_dir / name))
-            for tmp, final in staged:
-                os.replace(tmp, final)
-        except BaseException:
-            for tmp, _ in staged:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-            raise
+        atomic_write_files([
+            (out_dir / "body.bvh", self.body),
+            (out_dir / "face.json", self.face_json.encode("utf-8")),
+            (out_dir / "manifest.json", self.manifest_json.encode("utf-8")),
+        ])
 
 
 def provider_clients(config: Config):
@@ -285,13 +242,8 @@ def synthesize(
 
     rng = random.Random(request.seed)
 
-    phrases = segment_phrases(request.text)
-    if not phrases:
-        # Delimiter-only text still gets a gesture: treat the trimmed text
-        # as one phrase and let retrieval fall back to neutral.
-        phrases = [PhraseSpan(request.text.strip(), 0, len(request.text), 0)]
-    matches = retrieve_sequence(
-        phrases, gestures, config.similarity_threshold, rng
+    phrases, matches = retrieve_text(
+        request.text, gestures, config.similarity_threshold, rng
     )
 
     clips = [gestures.clip_for(m.entry.id) for m in matches]

@@ -1,5 +1,7 @@
 """BVH parse/serialize tests: grammar, rotation conversion, round trips."""
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from toonmotion.bvh import (
     GestureClip,
     Joint,
     Skeleton,
+    _TokenStream,
     parse_bvh,
     serialize_bvh,
 )
@@ -206,3 +209,16 @@ class TestClipValidation:
         skeleton = make_skeleton(2)
         clip = constant_clip(skeleton, identity_quats(2), frame_count=31, fps=30)
         assert clip.duration_s == pytest.approx(1.0)
+
+
+def test_parse_leaves_no_token_stream_for_the_cycle_collector():
+    data = (FIXTURES / "gestures" / "clips" / "g_big.bvh").read_bytes()
+    gc.collect()  # streams left in cycles by earlier tests' tracebacks
+    gc.disable()
+    try:
+        for _ in range(10):
+            parse_bvh(data, "g_big")
+        streams = [o for o in gc.get_objects() if isinstance(o, _TokenStream)]
+    finally:
+        gc.enable()
+    assert streams == []

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from toonmotion.errors import MalformedEntry, MissingClip, NoNeutralGesture
 from toonmotion.gesture_retrieval import (
     GestureCategory,
+    GestureDataset,
+    GestureEntry,
     load_gesture_dataset,
     retrieve_gesture,
     retrieve_sequence,
@@ -244,6 +246,38 @@ class TestRetrieval:
             assert direct.similarity < threshold
         else:
             assert direct.similarity >= threshold
+
+
+TIE_PHRASES = [
+    "Hello there.", "It was this big", "Really truly important",
+    "Look over there", "I see, go on", "That is wonderful",
+    "a tiny little box", "over the hills and far away", "please come with me",
+    "what a strange idea", "I cannot believe it", "let us get started",
+    "so many small boats", "never again, I promise",
+]
+
+
+@pytest.mark.parametrize("dup_id", ["a_dup", "z_dup"])
+def test_duplicate_phrase_ties_to_ascending_id_at_every_row(embedder, dup_id):
+    vecs = embed(TIE_PHRASES, embedder)
+
+    def entry(entry_id, k):
+        return GestureEntry(entry_id, TIE_PHRASES[k], vecs[k],
+                            GestureCategory.ICONIC, False, 1.0)
+
+    neutral = GestureEntry("n_rest", "resting", vecs[0],
+                           GestureCategory.NEUTRAL, True, 1.0)
+    wrong = []
+    for k in range(len(TIE_PHRASES)):
+        expected = min(dup_id, f"g{k:02d}")
+        for position in range(len(TIE_PHRASES) + 1):
+            entries = [entry(f"g{i:02d}", i) for i in range(len(TIE_PHRASES))]
+            entries.insert(position, entry(dup_id, k))
+            dataset = GestureDataset(entries + [neutral], embedder, {})
+            winner, _ = dataset.best_non_neutral(vecs[k])
+            if winner.id != expected:
+                wrong.append((TIE_PHRASES[k], position, winner.id))
+    assert wrong == []
 
 
 class TestSequence:

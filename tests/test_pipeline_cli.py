@@ -1,16 +1,25 @@
 """Configuration, end-to-end synthesis and command-line behavior."""
 
+import errno
 import json
+import os
 
 import numpy as np
 import pytest
 
 from toonmotion.bvh import parse_bvh
 from toonmotion.cli import main
-from toonmotion.errors import ConfigError, DurationMismatch, ValidationError
+from toonmotion.errors import (
+    ConfigError,
+    DurationMismatch,
+    MalformedEntry,
+    ValidationError,
+)
+from toonmotion.expression_dataset import load_expression_dataset
 from toonmotion.pipeline import (
     Config,
     DialogueRequest,
+    OutputBundle,
     load_config,
     synthesize,
 )
@@ -117,6 +126,44 @@ class TestConfig:
         b = load_config(write_config(tmp_path / "b", similarity_threshold=0.6))
         assert a.config_hash() != b.config_hash()
 
+    @pytest.mark.parametrize("raw, expected", [
+        ({"gesture_dataset": "g.jsonl", "expression_dataset": "e.jsonl"},
+         "2f76165cf3478bd50fa83d63abe791acc3e472723f8bc179fa0dfcc48dfcf56c"),
+        ({"gesture_dataset": "g.jsonl", "expression_dataset": "e.jsonl",
+          "provider_mode": "remote", "embed_endpoint": "http://localhost:1/e",
+          "emotion_endpoint": "http://localhost:1/m",
+          "emotion_fallback_lexicon": True, "similarity_threshold": 0.6,
+          "blend_s": 0.25, "transition_s": 0.5, "blink_mean_gap_s": 3.0,
+          "blink_min_gap_s": 0.5, "viseme_table": "v.json",
+          "emotion_categories": "c.json", "fps": 24, "timeout_s": 5, "retries": 1},
+         "e778e4967d3aac233d588a67a77df838e8135663a363f41ee316b2b507e8e181"),
+    ], ids=["defaults", "every_key"])
+    def test_hash_is_frozen(self, tmp_path, monkeypatch, raw, expected):
+        # Manifests record this hash, so it is hashed over the raw (pre-cast)
+        # values and must not move.
+        monkeypatch.delenv("TOONMOTION_EMBED_ENDPOINT", raising=False)
+        monkeypatch.delenv("TOONMOTION_EMOTION_ENDPOINT", raising=False)
+        for name in ("g.jsonl", "e.jsonl", "v.json", "c.json"):
+            (tmp_path / name).touch()
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert load_config(path).config_hash() == expected
+
+    @pytest.mark.parametrize("override", [
+        {"blend_s": float("nan")},
+        {"transition_s": float("inf")},
+    ], ids=["blend_s_nan", "transition_s_inf"])
+    def test_non_finite_float_exits_1(self, tmp_path, capsys, override):
+        code = main([
+            "synthesize", "--text", "Hello there.", "--duration", "2.0",
+            "--config", str(write_config(tmp_path, **override)),
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite" in err
+        assert "Traceback" not in err
+
 
 def tmp_dirs(tmp_path):
     (tmp_path / "a").mkdir()
@@ -136,6 +183,17 @@ class TestRequestValidation:
     def test_negative_seed(self):
         with pytest.raises(ValidationError):
             request(seed=-1).validate()
+
+    @pytest.mark.parametrize("duration", ["nan", "inf"])
+    def test_non_finite_duration_exits_1(self, tmp_path, capsys, duration):
+        code = main([
+            "synthesize", "--text", "Hello there.", "--duration", duration,
+            "--config", str(CONFIG_PATH), "--out", str(tmp_path / "out"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite" in err
+        assert "Traceback" not in err
 
 
 @pytest.fixture(scope="module")
@@ -270,11 +328,80 @@ class TestSynthesize:
         assert manifest["expression"]["entry_id"] == "img08"
         assert manifest["blink_onsets"] == []
 
+    def test_retrieve_agrees_with_synthesize_on_delimiter_only_text(
+        self, config, capsys
+    ):
+        text = "。、"
+        assert main(["retrieve", "--text", text, "--config", str(CONFIG_PATH),
+                     "--seed", "4"]) == 0
+        retrieved = [
+            (m["phrase"], m["ordinal"], m["entry_id"], m["similarity"], m["fallback"])
+            for m in json.loads(capsys.readouterr().out)["matches"]
+        ]
+        manifest = json.loads(
+            synthesize(request(text=text, duration=1.0, seed=4), config).manifest_json
+        )
+        synthesized = [
+            (g["query_phrase"], g["ordinal"], g["entry_id"], g["similarity"],
+             g["fallback"])
+            for g in manifest["gestures"]
+        ]
+        assert len(retrieved) == 1 and retrieved[0][-1] is True
+        assert retrieved == synthesized
+
     def test_body_track_is_valid_bvh_with_unit_quats(self, config):
         bundle = synthesize(request(seed=7), config)
         clip = parse_bvh(bundle.body, "check")
         norms = np.linalg.norm(clip.rotations, axis=-1)
         assert np.max(np.abs(norms - 1.0)) < 1e-5
+
+
+class TestBundleWrite:
+    @pytest.mark.parametrize("stage", ["staging", "rename"])
+    def test_failed_write_leaves_no_temp_or_member(self, tmp_path, monkeypatch,
+                                                   stage):
+        real_fdopen = os.fdopen
+        opened = []
+
+        def fdopen_failing_on_second(fd, *args):
+            opened.append(fd)
+            if len(opened) == 2:
+                os.close(fd)
+                raise OSError(errno.ENOSPC, "no space left on device")
+            return real_fdopen(fd, *args)
+
+        def failing_replace(src, dst):
+            raise OSError(errno.EIO, "rename failed")
+
+        if stage == "staging":
+            monkeypatch.setattr(os, "fdopen", fdopen_failing_on_second)
+        else:
+            monkeypatch.setattr(os, "replace", failing_replace)
+        out = tmp_path / "bundle"
+        bundle = OutputBundle(body=b"HIERARCHY\n", face_json="{}\n",
+                              manifest_json="{}\n")
+        with pytest.raises(OSError):
+            bundle.write(out)
+        assert list(out.iterdir()) == []
+
+
+BUNDLE_GOLDENS = sorted((GOLDENS / "bundles").iterdir())
+
+
+@pytest.mark.parametrize("golden", BUNDLE_GOLDENS, ids=lambda p: p.name)
+def test_bundle_matches_frozen_golden(golden, tmp_path, capsys):
+    req = json.loads((golden / "request.json").read_text(encoding="utf-8"))
+    argv = [
+        "synthesize", "--text", req["text"], "--duration", str(req["duration"]),
+        "--seed", str(req["seed"]), "--config", str(CONFIG_PATH),
+        "--out", str(tmp_path),
+    ]
+    if req["phonemes"] is not None:
+        argv += ["--phonemes", str(FIXTURES / req["phonemes"])]
+    assert main(argv) == 0
+    capsys.readouterr()
+    for name in ("body.bvh", "face.json", "manifest.json"):
+        assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
 
 
 class TestCli:
@@ -437,3 +564,43 @@ class TestCli:
                      "--path", str(path)])
         assert code == 1
         capsys.readouterr()
+
+
+def _malformed_expression_file(tmp_path, kind):
+    """A valid record, a blank line, then one malformed record on line 3."""
+    good = json.loads(
+        (FIXTURES / "expressions.jsonl").read_text("utf-8").splitlines()[0]
+    )
+    bad = json.loads(json.dumps(good))
+    bad["id"] = "bad"
+    if kind == "non_object":
+        bad = 42
+    elif kind == "non_numeric_blendshape":
+        bad["blendshapes"]["jawOpen"] = "wide"
+    else:
+        del bad["id"]
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(good) + "\n\n" + json.dumps(bad) + "\n",
+                    encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("kind", ["non_object", "non_numeric_blendshape", "missing_id"])
+@pytest.mark.parametrize("reader", ["load", "validate-dataset", "annotate-emotions"])
+def test_malformed_expression_record_reported_with_line(tmp_path, capsys, reader,
+                                                        kind):
+    path = _malformed_expression_file(tmp_path, kind)
+    if reader == "load":
+        with pytest.raises(MalformedEntry) as info:
+            load_expression_dataset(path)
+        assert info.value.line == 3
+        return
+    if reader == "validate-dataset":
+        argv = ["validate-dataset", "--kind", "expression", "--path", str(path)]
+    else:
+        argv = ["annotate-emotions", "--dataset", str(path),
+                "--out", str(tmp_path / "out.jsonl")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 3:")
+    assert not (tmp_path / "out.jsonl").exists()
