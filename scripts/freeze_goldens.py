@@ -45,6 +45,22 @@ BUNDLE_REQUESTS = {
             "seed": 1, "phonemes": None},
     "overlay_eyes": {"text": "Wow, I cannot believe it, amazing!", "duration": 3.0,
                      "seed": 5, "phonemes": "phonemes_wow.json"},
+    # Retiming clamps the time scale at 2: the motion ends early and the
+    # final pose is held to the end of the speech.
+    "hold": {"text": "Hello there.", "duration": 6.0, "seed": 2, "phonemes": None},
+    # Retiming clamps the time scale at 0.5: the motion is cut at speech end.
+    "truncate": {
+        "text": "Hello there. It was this big, really truly important! "
+                "Look over there. I see, go on. Zqxv jkwp. That is wonderful!",
+        "duration": 3.0, "seed": 4, "phonemes": None,
+    },
+    "long_phonemes": {
+        "text": "Hello there. It was this big, really truly important! "
+                "Look over there. I see, go on. That is wonderful! "
+                "Really? Look at that. It was this big. Hello there, "
+                "I see. That is wonderful, go on!",
+        "duration": 20.0, "seed": 6, "phonemes": "phonemes_long.json",
+    },
 }
 
 
