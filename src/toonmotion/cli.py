@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 validation/data errors, 2 provider or I/O errors,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import random
 import sys
@@ -157,11 +158,12 @@ def _cmd_validate_dataset(args) -> int:
 
 def _cmd_retrieve(args) -> int:
     config = load_config(args.config)
+    if args.threshold is not None:
+        config = dataclasses.replace(config, similarity_threshold=args.threshold)
+        config.validate()
     embedder, _ = provider_clients(config)
     dataset = load_gesture_dataset(config.gesture_dataset, embedder)
-    threshold = (
-        args.threshold if args.threshold is not None else config.similarity_threshold
-    )
+    threshold = config.similarity_threshold
     phrases, matches = retrieve_text(
         args.text, dataset, threshold, random.Random(args.seed)
     )

@@ -6,12 +6,6 @@ import numpy as np
 
 
 def smoothstep(t):
-    """Classic 3t^2 - 2t^3 ease, input clamped to [0, 1].
-
-    Accepts scalars or numpy arrays; scalars come back as floats.
-    """
+    """Classic 3t^2 - 2t^3 ease, input clamped to [0, 1], elementwise."""
     u = np.clip(t, 0.0, 1.0)
-    out = u * u * (3.0 - 2.0 * u)
-    if np.isscalar(t):
-        return float(out)
-    return out
+    return u * u * (3.0 - 2.0 * u)

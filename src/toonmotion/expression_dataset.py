@@ -23,6 +23,7 @@ from .errors import (
     EmptyEmotionResponse,
     InvalidLandmarks,
     MalformedEntry,
+    ProviderError,
     UnknownOption,
 )
 from .jsonutil import atomic_write_text, canonical_json, iter_jsonl
@@ -466,7 +467,8 @@ def build_dataset(
 ) -> tuple[list[ExpressionEntry], BuildReport]:
     """Fuse and annotate every source fixture in a directory.
 
-    Per-image failures are collected into the report instead of aborting.
+    Per-image failures are collected into the report instead of aborting;
+    a `ProviderError` (an emotion provider outage) aborts the build.
     Output is sorted by entry id, so the result is independent of directory
     iteration order; with the offline provider it is byte-stable.
     """
@@ -487,6 +489,9 @@ def build_dataset(
                 source={"image_id": image_id, "dialogue": dialogue},
             )
             annotate_emotion(entry, provider, categories)
+        except ProviderError:
+            # An outage is not bad data: it must not become per-image rejects.
+            raise
         except Exception as exc:
             report.rejects.append({"file": fixture.name, "error": str(exc)})
             continue

@@ -9,6 +9,7 @@ driven by timed phoneme events, and procedurally scheduled blinks.
 from __future__ import annotations
 
 import json
+import math
 import random
 import re
 from dataclasses import dataclass, field
@@ -66,6 +67,11 @@ class PhonemeEvent:
 
 def validate_phonemes(events: list[PhonemeEvent]):
     for ev in events:
+        if not (math.isfinite(ev.start_s) and math.isfinite(ev.end_s)):
+            raise ValidationError(
+                f"event {ev.phoneme!r} has non-finite time "
+                f"(start {ev.start_s}, end {ev.end_s})"
+            )
         if ev.end_s <= ev.start_s:
             raise OverlappingPhonemes(
                 f"event {ev.phoneme!r} has end {ev.end_s} <= start {ev.start_s}"
@@ -225,13 +231,20 @@ def lipsync_track(
         if ev.phoneme == "sil":
             continue
         pose = table.get(ev.phoneme, table["other"])
-        rise = smoothstep((times - ev.start_s) / VISEME_RAMP_S)
-        fall = 1.0 - smoothstep((times - ev.end_s) / VISEME_RAMP_S)
+        # The envelope is exactly 0 outside (start, end + ramp); one frame of
+        # margin either side absorbs rounding in the frame times.
+        lo = max(0, math.floor(ev.start_s * fps) - 1)
+        hi = min(frame_count, math.ceil((ev.end_s + VISEME_RAMP_S) * fps) + 2)
+        t = times[lo:hi]
+        rise = smoothstep((t - ev.start_s) / VISEME_RAMP_S)
+        fall = 1.0 - smoothstep((t - ev.end_s) / VISEME_RAMP_S)
         envelope = rise * fall
-        voicing = np.maximum(voicing, envelope)
+        voicing[lo:hi] = np.maximum(voicing[lo:hi], envelope)
         for name, weight in pose.items():
             idx = _CHANNEL_INDEX[name]
-            values[:, idx] = np.maximum(values[:, idx], envelope * float(weight))
+            values[lo:hi, idx] = np.maximum(
+                values[lo:hi, idx], envelope * float(weight)
+            )
 
     return LipsyncResult(fps=fps, values=values, voicing=voicing, source=source)
 

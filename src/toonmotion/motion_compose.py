@@ -1,23 +1,24 @@
 """Gesture sequence composition: stitching clips and retiming to speech.
 
-A stitched sequence concatenates clips so each boundary frame is shared
-(total frames = sum of clip frames minus one per seam) and crossfades a
-window centered on every seam. Retiming applies a uniform time scale,
-clamped to [0.5, 2.0], then holds the final pose or truncates so the track
-covers the requested speech duration.
+Both steps take and return `GestureClip`s and work on whole frame arrays:
+each output frame is either a copy of a source pose or a lerp (root) and
+slerp (rotations) between two source poses. A stitched sequence concatenates
+clips so each boundary frame is shared (total frames = sum of clip frames
+minus one per seam) and crossfades a window centered on every seam.
+Retiming applies a uniform time scale, clamped to [0.5, 2.0], then holds the
+final pose or truncates so the clip covers the requested speech duration.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .bvh import GestureClip, Skeleton
+from .bvh import GestureClip
 from .curves import smoothstep
-from .errors import FpsMismatch, SkeletonMismatch
-from .quat import slerp
+from .errors import FpsMismatch, SkeletonMismatch, ValidationError
+from .quat import angle_between, slerp
 
 DEFAULT_BLEND_S = 0.3
 MIN_TIME_SCALE = 0.5
@@ -25,68 +26,34 @@ MAX_TIME_SCALE = 2.0
 
 FPS_REL_TOL = 1e-6
 
-BLEND_PROVENANCE = "blend"
-HOLD_PROVENANCE = "hold"
+# slerp allocates about a dozen temporaries the size of its input; blending
+# in blocks of this many frames keeps them small on long tracks.
+_BLOCK_FRAMES = 256
 
 
-@dataclass
-class SkeletalTrack:
-    skeleton: Skeleton
-    fps: float
-    root_positions: np.ndarray
-    rotations: np.ndarray
-    provenance: list[str]
-
-    def __post_init__(self):
-        if len(self.provenance) != self.rotations.shape[0]:
-            raise ValueError(
-                f"provenance covers {len(self.provenance)} frames, "
-                f"track has {self.rotations.shape[0]}"
-            )
-
-    @property
-    def frame_count(self) -> int:
-        return self.rotations.shape[0]
-
-    @property
-    def duration_s(self) -> float:
-        return (self.frame_count - 1) / self.fps
-
-    def to_clip(self, source_id: str = "stitched") -> GestureClip:
-        return GestureClip(
-            skeleton=self.skeleton,
-            fps=self.fps,
-            root_positions=self.root_positions.copy(),
-            rotations=self.rotations.copy(),
-            source_id=source_id,
-        )
-
-
-def track_from_clip(clip: GestureClip, entry_id: str) -> SkeletalTrack:
-    return SkeletalTrack(
-        skeleton=clip.skeleton,
-        fps=clip.fps,
-        root_positions=clip.root_positions.copy(),
-        rotations=clip.rotations.copy(),
-        provenance=[entry_id] * clip.frame_count,
-    )
+def _blend_into(root, rots, frames, a: GestureClip, a_idx, b: GestureClip, b_idx,
+                weights):
+    """Lerp roots and slerp rotations from a[a_idx] to b[b_idx] into `frames`."""
+    for start in range(0, len(frames), _BLOCK_FRAMES):
+        block = slice(start, start + _BLOCK_FRAMES)
+        w = weights[block, np.newaxis]
+        ia, ib = a_idx[block], b_idx[block]
+        dst = frames[block]
+        root[dst] = (1.0 - w) * a.root_positions[ia] + w * b.root_positions[ib]
+        rots[dst] = slerp(a.rotations[ia], b.rotations[ib], w)
 
 
 def stitch_clips(
-    entry_ids: list[str],
-    clips: list[GestureClip],
-    blend_s: float = DEFAULT_BLEND_S,
-) -> SkeletalTrack:
+    clips: list[GestureClip], blend_s: float = DEFAULT_BLEND_S
+) -> GestureClip:
     """Concatenate clips in order with a smoothstep slerp crossfade per seam.
 
     The crossfade window at each seam is min(blend_s, half of either
     neighboring clip's duration), centered on the seam. Frames inside the
     window blend the outgoing clip (held at its end when the window runs
     past it) into the incoming clip (held at its start before its first
-    frame) and are marked with "blend" provenance.
+    frame).
     """
-    if len(entry_ids) != len(clips):
-        raise ValueError("one entry id per clip required")
     if not clips:
         raise ValueError("cannot stitch an empty clip list")
     if blend_s < 0:
@@ -104,115 +71,73 @@ def stitch_clips(
             )
 
     fps = first.fps
-    starts = [0]
-    for clip in clips[:-1]:
-        starts.append(starts[-1] + clip.frame_count - 1)
-    total_frames = starts[-1] + clips[-1].frame_count
-
-    n_joints = len(first.skeleton.joints)
-    root = np.zeros((total_frames, 3), dtype=np.float64)
-    rots = np.zeros((total_frames, n_joints, 4), dtype=np.float64)
-    provenance = [""] * total_frames
-
     # Baseline concatenation: the shared seam frame takes the incoming pose.
-    for idx, clip in enumerate(clips):
-        lo = starts[idx]
-        hi = lo + clip.frame_count
-        root[lo:hi] = clip.root_positions
-        rots[lo:hi] = clip.rotations
-        provenance[lo:hi] = [entry_ids[idx]] * clip.frame_count
+    root = np.concatenate(
+        [c.root_positions[:-1] for c in clips[:-1]] + [clips[-1].root_positions]
+    )
+    rots = np.concatenate(
+        [c.rotations[:-1] for c in clips[:-1]] + [clips[-1].rotations]
+    )
+    total_frames = rots.shape[0]
 
-    for idx in range(len(clips) - 1):
-        out_clip = clips[idx]
-        in_clip = clips[idx + 1]
+    seam = 0
+    for out_clip, in_clip in zip(clips, clips[1:]):
+        out_start = seam
+        seam += out_clip.frame_count - 1
         w = min(blend_s, out_clip.duration_s / 2.0, in_clip.duration_s / 2.0)
         if w <= 0.0:
             continue
-        seam = starts[idx + 1]
         half_frames = w * fps / 2.0
         f_lo = max(0, int(math.ceil(seam - half_frames - 1e-9)))
         f_hi = min(total_frames - 1, int(math.floor(seam + half_frames + 1e-9)))
-        for f in range(f_lo, f_hi + 1):
-            out_local = min(f - starts[idx], out_clip.frame_count - 1)
-            in_local = max(f - seam, 0)
-            t = ((f - seam) / fps + w / 2.0) / w
-            s = smoothstep(t)
-            rots[f] = slerp(
-                out_clip.rotations[out_local], in_clip.rotations[in_local], s
-            )
-            root[f] = (1.0 - s) * out_clip.root_positions[out_local] + (
-                s * in_clip.root_positions[in_local]
-            )
-            provenance[f] = BLEND_PROVENANCE
+        frames = np.arange(f_lo, f_hi + 1)
+        out_local = np.minimum(frames - out_start, out_clip.frame_count - 1)
+        in_local = np.maximum(frames - seam, 0)
+        s = smoothstep(((frames - seam) / fps + w / 2.0) / w)
+        _blend_into(root, rots, frames, out_clip, out_local, in_clip, in_local, s)
 
-    return SkeletalTrack(
-        skeleton=first.skeleton,
-        fps=fps,
-        root_positions=root,
-        rotations=rots,
-        provenance=provenance,
-    )
+    return GestureClip(first.skeleton, fps, root, rots, "stitched")
 
 
-def retime_to_speech(track: SkeletalTrack, speech_duration_s: float) -> SkeletalTrack:
-    """Uniformly rescale a track to cover the speech duration.
+def retime_to_speech(clip: GestureClip, speech_duration_s: float) -> GestureClip:
+    """Uniformly rescale a clip to cover the speech duration.
 
-    The time scale k = speech/track duration is clamped to [0.5, 2.0]. The
+    The time scale k = speech/clip duration is clamped to [0.5, 2.0]. The
     output always spans round(speech * fps) + 1 frames at the original fps:
-    when the clamped motion runs out early the last pose is held (provenance
-    "hold"), and when it would overrun it is truncated at speech end.
+    when the clamped motion runs out early the last pose is held, and when
+    it would overrun it is truncated at speech end.
     """
     if speech_duration_s <= 0:
         raise ValueError("speech duration must be positive")
-    k = speech_duration_s / track.duration_s
+    fps = clip.fps
+    target_count = int(round(speech_duration_s * fps)) + 1
+    if target_count < 2:
+        raise ValidationError(
+            f"speech duration {speech_duration_s}s at {fps} fps gives "
+            f"{target_count} body frame, need at least 2"
+        )
+    k = speech_duration_s / clip.duration_s
     k = min(max(k, MIN_TIME_SCALE), MAX_TIME_SCALE)
 
-    fps = track.fps
-    target_count = int(round(speech_duration_s * fps)) + 1
-    last = track.frame_count - 1
+    last = clip.frame_count - 1
+    src = np.arange(target_count) / k
+    held = src >= last - 1e-9
+    lo = np.floor(src)
+    frac = src - lo
+    lo = np.where(held, last, lo).astype(np.intp)
 
-    root = np.zeros((target_count, 3), dtype=np.float64)
-    rots = np.zeros((target_count, len(track.skeleton.joints), 4), dtype=np.float64)
-    provenance: list[str] = []
+    # Held frames and frames landing on a source frame copy that pose.
+    root = clip.root_positions[lo]
+    rots = clip.rotations[lo]
+    between = np.flatnonzero(~held & (frac >= 1e-12))
+    _blend_into(root, rots, between, clip, lo[between], clip, lo[between] + 1,
+                frac[between])
 
-    for i in range(target_count):
-        src = i / k
-        if src >= last - 1e-9:
-            root[i] = track.root_positions[last]
-            rots[i] = track.rotations[last]
-            # Landing on (or within rounding of) the final frame is the
-            # natural end of the motion, not a hold.
-            if src > last + 1e-9:
-                provenance.append(HOLD_PROVENANCE)
-            else:
-                provenance.append(track.provenance[last])
-            continue
-        lo = int(math.floor(src))
-        frac = src - lo
-        if frac < 1e-12:
-            root[i] = track.root_positions[lo]
-            rots[i] = track.rotations[lo]
-            provenance.append(track.provenance[lo])
-            continue
-        root[i] = (1.0 - frac) * track.root_positions[lo] + (
-            frac * track.root_positions[lo + 1]
-        )
-        rots[i] = slerp(track.rotations[lo], track.rotations[lo + 1], frac)
-        provenance.append(track.provenance[lo if frac < 0.5 else lo + 1])
-
-    return SkeletalTrack(
-        skeleton=track.skeleton,
-        fps=fps,
-        root_positions=root,
-        rotations=rots,
-        provenance=provenance,
-    )
+    return GestureClip(clip.skeleton, fps, root, rots, clip.source_id)
 
 
 def max_frame_jump(rotations: np.ndarray) -> float:
     """Largest per-joint geodesic rotation step between consecutive frames."""
-    from .quat import angle_between
-
     if rotations.shape[0] < 2:
         return 0.0
     steps = angle_between(rotations[:-1], rotations[1:])

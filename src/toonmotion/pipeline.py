@@ -105,7 +105,16 @@ class Config:
 # The config file's keys are Config's public fields; annotations name the
 # cast applied on load ("Path" fields resolve against the config directory).
 _CONFIG_FIELDS = [f for f in fields(Config) if not f.name.startswith("_")]
-_CONFIG_CASTS = {"str": str, "bool": bool, "float": float, "int": int}
+
+
+def _require_bool(value):
+    # bool() would read the string "false" as True.
+    if not isinstance(value, bool):
+        raise TypeError("not a JSON boolean")
+    return value
+
+
+_CONFIG_CASTS = {"str": str, "bool": _require_bool, "float": float, "int": int}
 
 
 def _normalize_config_dict(config: "Config") -> dict:
@@ -247,8 +256,8 @@ def synthesize(
     )
 
     clips = [gestures.clip_for(m.entry.id) for m in matches]
-    stitched = stitch_clips([m.entry.id for m in matches], clips, config.blend_s)
-    body_track = retime_to_speech(stitched, request.speech_duration_s)
+    body = retime_to_speech(stitch_clips(clips, config.blend_s),
+                            request.speech_duration_s)
 
     emotions = infer_dialogue_emotion(request.text, emotion_provider, categories)
     expression, expr_similarity = retrieve_expression(emotions, expressions)
@@ -328,12 +337,12 @@ def synthesize(
         "dialogue_emotions": emotions,
         "blink_onsets": face.provenance["blink_onsets"],
         "lipsync_source": lipsync_source,
-        "body_frames": body_track.frame_count,
+        "body_frames": body.frame_count,
         "face_frames": face.frame_count,
     }
 
     bundle = OutputBundle(
-        body=serialize_bvh(body_track.to_clip()),
+        body=serialize_bvh(body),
         face_json=canonical_json(face.to_json_dict()) + "\n",
         manifest_json=canonical_json(manifest) + "\n",
     )

@@ -141,7 +141,7 @@ class TestAcceptance:
             combo = rng.sample(ids, count)
             clips = [gesture_dataset.clip_for(i) for i in combo]
             source_max = max(max_frame_jump(c.rotations) for c in clips)
-            track = stitch_clips(combo, clips)
+            track = stitch_clips(clips)
             excess = max_frame_jump(track.rotations) - source_max
             worst_excess = max(worst_excess, excess)
             norms = np.linalg.norm(track.rotations, axis=-1)
@@ -160,7 +160,7 @@ class TestAcceptance:
         for _ in range(50):
             combo = rng.sample(ids, rng.randint(1, 4))
             clips = [gesture_dataset.clip_for(i) for i in combo]
-            track = stitch_clips(combo, clips)
+            track = stitch_clips(clips)
             speech = rng.uniform(0.5, 9.0)
             out = retime_to_speech(track, speech)
             err = abs(out.duration_s - speech)

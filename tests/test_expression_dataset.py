@@ -12,6 +12,7 @@ from toonmotion.errors import (
     EmptyEmotionResponse,
     InvalidLandmarks,
     MalformedEntry,
+    ProviderUnavailable,
     UnknownOption,
 )
 from toonmotion.expression_dataset import (
@@ -453,6 +454,16 @@ class TestBuild:
         assert len(report.rejects) == 1
         assert report.rejects[0]["file"] == "img03.json"
         assert "img03" not in [e.id for e in entries]
+
+    def test_provider_outage_aborts_the_build(self, tmp_path):
+        class Down:
+            def infer(self, text, image_ref=None):
+                raise ProviderUnavailable("emotion endpoint unreachable")
+
+        out = tmp_path / "expressions.jsonl"
+        with pytest.raises(ProviderUnavailable):
+            build_dataset(FIXTURES / "expression_sources", Down(), out)
+        assert not out.exists()
 
     def test_empty_directory(self, tmp_path):
         entries, report = build_dataset(tmp_path, LexiconEmotionProvider())

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toonmotion.curves import smoothstep
 from toonmotion.errors import (
     DurationMismatch,
     EmptyDataset,
@@ -16,12 +17,14 @@ from toonmotion.errors import (
     ValidationError,
 )
 from toonmotion.expression_dataset import (
+    CHANNEL_REGISTRY,
     EYELID_CHANNELS,
     ExpressionEntry,
     empty_blendshapes,
 )
 from toonmotion.face_engine import (
     BLINK_TOTAL_S,
+    VISEME_RAMP_S,
     BlinkEnvelope,
     PhonemeEvent,
     compose_face_track,
@@ -84,6 +87,16 @@ class TestPhonemeValidation:
         path = tmp_path / "ph.json"
         path.write_text(json.dumps([{"ph": "a", "start": 0.0}]), encoding="utf-8")
         with pytest.raises(ValidationError):
+            load_phoneme_file(path)
+
+    @pytest.mark.parametrize("start,end", [
+        (math.nan, 0.5), (0.0, math.nan), (-math.inf, 0.5), (0.0, math.inf),
+    ])
+    def test_load_rejects_non_finite_times(self, tmp_path, start, end):
+        path = tmp_path / "ph.json"
+        path.write_text(json.dumps([{"ph": "a", "start": start, "end": end}]),
+                        encoding="utf-8")
+        with pytest.raises(ValidationError, match="non-finite"):
             load_phoneme_file(path)
 
 
@@ -189,6 +202,35 @@ class TestLipsync:
     def test_frame_count(self):
         result = lipsync_track([ev("a", 0.0, 1.0)], fps=30.0, duration_s=1.5)
         assert result.values.shape[0] == 46
+
+    @pytest.mark.parametrize("fps", [24.0, 29.97, 30.0, 60.0])
+    def test_matches_envelopes_over_every_frame(self, fps):
+        """Each event only touches its own frames, bit for bit."""
+        table = load_viseme_table()
+        rng = random.Random(int(fps * 100))
+        events, t = [], rng.uniform(-0.1, 0.2)
+        for _ in range(60):
+            d = rng.choice([rng.uniform(0.01, 0.4), 1.0 / fps, 0.06])
+            phoneme = rng.choice(["a", "i", "MBP", "FV", "sil", "zz"])
+            events.append(ev(phoneme, t, t + d))
+            t += d + rng.choice([0.0, rng.uniform(0.0, 0.2)])
+        duration = t * 0.9
+        result = lipsync_track(events, fps, duration_s=duration, viseme_table=table)
+
+        times = np.arange(int(round(duration * fps)) + 1) / fps
+        values = np.zeros_like(result.values)
+        voicing = np.zeros_like(result.voicing)
+        for e in events:
+            if e.phoneme == "sil":
+                continue
+            envelope = smoothstep((times - e.start_s) / VISEME_RAMP_S) * (
+                1.0 - smoothstep((times - e.end_s) / VISEME_RAMP_S))
+            voicing = np.maximum(voicing, envelope)
+            for name, weight in table.get(e.phoneme, table["other"]).items():
+                idx = CHANNEL_REGISTRY.index(name)
+                values[:, idx] = np.maximum(values[:, idx], envelope * float(weight))
+        np.testing.assert_array_equal(result.values, values)
+        np.testing.assert_array_equal(result.voicing, voicing)
 
 
 class TestEmotionInference:

@@ -106,6 +106,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="similarity_threshold"):
             load_config(write_config(tmp_path, similarity_threshold=1.5))
 
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_non_boolean_fallback_flag_rejected(self, tmp_path, value):
+        path = write_config(tmp_path, emotion_fallback_lexicon=value)
+        with pytest.raises(ConfigError, match="emotion_fallback_lexicon"):
+            load_config(path)
+
     def test_nonpositive_fps(self, tmp_path):
         with pytest.raises(ConfigError, match="fps"):
             load_config(write_config(tmp_path, fps=0))
@@ -480,6 +486,15 @@ class TestCli:
         data = json.loads(capsys.readouterr().out)
         assert data["threshold"] == pytest.approx(0.999)
         assert data["matches"][0]["fallback"] is False
+
+    @pytest.mark.parametrize("threshold", ["1.5", "-0.1", "nan"])
+    def test_retrieve_rejects_threshold_outside_unit_interval(self, capsys, threshold):
+        code = main([
+            "retrieve", "--text", "Hello there.",
+            "--config", str(CONFIG_PATH), "--threshold", threshold,
+        ])
+        assert code == 1
+        assert "error: similarity_threshold" in capsys.readouterr().err
 
     def test_build_expressions(self, tmp_path, capsys):
         out = tmp_path / "expr.jsonl"
