@@ -23,6 +23,7 @@ from .errors import (
     UnsupportedChannelLayout,
     ValidationError,
 )
+from .jsonutil import format_float_blocks
 from .quat import euler_deg_to_quat, quat_to_euler_deg
 
 SUPPORTED_ROTATION_ORDERS = ("ZXY", "ZYX", "XYZ")
@@ -69,9 +70,11 @@ class Skeleton:
         for a, b in zip(self.joints, other.joints):
             if a.name != b.name or a.parent != b.parent:
                 return False
-            if not np.allclose(a.offset, b.offset, atol=tol, rtol=0.0):
-                return False
-        return True
+        return np.allclose(
+            np.stack([j.offset for j in self.joints]),
+            np.stack([j.offset for j in other.joints]),
+            atol=tol, rtol=0.0,
+        )
 
 
 @dataclass
@@ -390,18 +393,16 @@ def serialize_bvh(clip: GestureClip) -> bytes:
     lines.append(f"Frames: {clip.frame_count}")
     lines.append(f"Frame Time: {1.0 / clip.fps:.8f}")
 
-    n_joints = len(clip.skeleton.joints)
-    euler = np.empty((clip.frame_count, n_joints, 3), dtype=np.float64)
-    for j in range(n_joints):
-        euler[:, j, :] = quat_to_euler_deg(
-            clip.rotations[:, j, :], SERIALIZED_ROTATION_ORDER
-        )
-    # Round before formatting so values a hair below zero do not print
-    # as "-0.000000"; adding 0.0 then folds -0.0 into +0.0.
+    # Euler angles are rounded to 6 decimals and +0.0 folds -0.0 into +0.0,
+    # so angles a hair below zero (identity rotations) do not print as
+    # "-0.000000". Root positions are printed unrounded: the frozen bundle
+    # goldens hold root values that print as "-0.000000", and rounding them
+    # would change bundle bytes.
+    euler = quat_to_euler_deg(clip.rotations, SERIALIZED_ROTATION_ORDER)
     euler = np.round(euler, 6) + 0.0
-    for f in range(clip.frame_count):
-        parts = [f"{v:.6f}" for v in clip.root_positions[f]]
-        for j in range(n_joints):
-            parts.extend(f"{v:.6f}" for v in euler[f, j])
-        lines.append(" ".join(parts))
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    table = np.concatenate(
+        [clip.root_positions, euler.reshape(clip.frame_count, -1)], axis=1
+    )
+    blocks = [block.encode("utf-8")
+              for block in format_float_blocks(table, " ", "\n")]
+    return b"\n".join(["\n".join(lines).encode("utf-8"), *blocks]) + b"\n"

@@ -391,7 +391,7 @@ class FaceTrack:
         return {
             "fps": self.fps,
             "channels": list(CHANNEL_REGISTRY),
-            "frames": [[float(v) for v in row] for row in self.frames],
+            "frames": self.frames,
             "provenance": self.provenance,
         }
 

@@ -3,7 +3,9 @@
 Every JSON artifact this package emits (datasets, reports, face tracks,
 manifests) goes through :func:`canonical_json` so repeated runs produce
 byte-identical files: keys sorted, reals fixed at 6 decimals, UTF-8, no
-platform-dependent float repr.
+platform-dependent float repr. :func:`format_float_blocks` prints float
+tables in that same 6-decimal form, a block of rows at a time, for the
+face-track frames here and the BVH motion rows.
 """
 
 from __future__ import annotations
@@ -15,7 +17,39 @@ import tempfile
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
+import numpy as np
+
 from .errors import MalformedEntry
+
+# Rows formatted per string operation: one ``%`` over a block keeps the
+# per-value work in C, and a block's argument tuple stays a few MiB at most.
+FORMAT_BLOCK_ROWS = 256
+
+
+def format_float_blocks(table: np.ndarray, field_sep: str, row_sep: str,
+                        row_open: str = "", row_close: str = "") -> Iterator[str]:
+    """Yield the rows of a 2-D float array as text, FORMAT_BLOCK_ROWS per string.
+
+    Each value prints as ``f"{v:.6f}"`` does (``"%.6f"`` gives the same text
+    for every finite float, ``-0.0`` included); fields are joined by
+    *field_sep*, each row is wrapped in *row_open*/*row_close* and rows
+    within a block are joined by *row_sep*. Joining the blocks with
+    *row_sep* gives the whole table.
+    """
+    row = row_open + field_sep.join(["%.6f"] * table.shape[1]) + row_close
+    for start in range(0, table.shape[0], FORMAT_BLOCK_ROWS):
+        block = table[start:start + FORMAT_BLOCK_ROWS]
+        yield row_sep.join([row] * block.shape[0]) % tuple(block.ravel().tolist())
+
+
+def _encode_float_table(table: np.ndarray, out: list[str]) -> None:
+    finite = np.isfinite(table)
+    if not finite.all():
+        bad = float(table[~finite][0])
+        raise ValueError(f"non-finite float in JSON output: {bad!r}")
+    out.append("[")
+    out.append(",".join(format_float_blocks(table, ",", ",", "[", "]")))
+    out.append("]")
 
 
 def _encode(obj: Any, out: list[str]) -> None:
@@ -42,6 +76,8 @@ def _encode(obj: Any, out: list[str]) -> None:
             out.append(":")
             _encode(obj[key], out)
         out.append("}")
+    elif isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype.kind == "f":
+        _encode_float_table(obj, out)
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, item in enumerate(obj):

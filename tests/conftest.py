@@ -57,3 +57,22 @@ def identity_quats(n_joints: int) -> np.ndarray:
     q = np.zeros((n_joints, 4))
     q[:, 0] = 1.0
     return q
+
+
+def awkward_floats(rng, shape, scale: float) -> np.ndarray:
+    """Floats that stress 6-decimal formatting, the kind chosen per element.
+
+    Values within 1e-7 of zero (they print as "-0.000000" when negative),
+    exact +/-0.0, values on half-micro rounding boundaries near zero and
+    near whole degrees, and magnitudes up to *scale*.
+    """
+    choices = np.stack([
+        rng.uniform(-1e-7, 1e-7, size=shape),
+        np.where(rng.random(shape) < 0.5, -0.0, 0.0),
+        (rng.integers(-10**6, 10**6, size=shape) + 0.5) * 1e-6,
+        (rng.integers(-10**3, 10**3, size=shape) + 0.5) * 1e-6
+        + rng.integers(-180, 180, size=shape),
+        rng.uniform(-scale, scale, size=shape),
+    ])
+    pick = rng.integers(0, len(choices), size=shape)
+    return np.take_along_axis(choices, pick[np.newaxis], axis=0)[0]

@@ -8,10 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toonmotion.bvh import (
+    OFFSET_MATCH_TOL,
+    SERIALIZED_ROTATION_ORDER,
     GestureClip,
     Joint,
     Skeleton,
     _TokenStream,
+    _write_joint,
     parse_bvh,
     serialize_bvh,
 )
@@ -21,9 +24,15 @@ from toonmotion.errors import (
     UnsupportedChannelLayout,
     ValidationError,
 )
-from toonmotion.quat import angle_between, euler_deg_to_quat
+from toonmotion.quat import angle_between, euler_deg_to_quat, quat_to_euler_deg
 
-from conftest import FIXTURES, constant_clip, identity_quats, make_skeleton
+from conftest import (
+    FIXTURES,
+    awkward_floats,
+    constant_clip,
+    identity_quats,
+    make_skeleton,
+)
 
 SIMPLE_BVH = """HIERARCHY
 ROOT Hips
@@ -163,6 +172,86 @@ class TestSerialize:
         skeleton = make_skeleton(2)
         clip = constant_clip(skeleton, identity_quats(2), frame_count=2)
         assert b"-0.000000" not in serialize_bvh(clip)
+
+
+def serialize_bvh_per_value(clip: GestureClip) -> bytes:
+    """Reference serializer: one Euler conversion per joint, one f-string per value."""
+    lines = ["HIERARCHY"]
+    _write_joint(lines, clip.skeleton, 0, 0)
+    lines.append("MOTION")
+    lines.append(f"Frames: {clip.frame_count}")
+    lines.append(f"Frame Time: {1.0 / clip.fps:.8f}")
+    n_joints = len(clip.skeleton.joints)
+    euler = np.empty((clip.frame_count, n_joints, 3))
+    for j in range(n_joints):
+        euler[:, j, :] = quat_to_euler_deg(
+            clip.rotations[:, j, :], SERIALIZED_ROTATION_ORDER
+        )
+    euler = np.round(euler, 6) + 0.0
+    for f in range(clip.frame_count):
+        parts = [f"{v:.6f}" for v in clip.root_positions[f]]
+        for j in range(n_joints):
+            parts.extend(f"{v:.6f}" for v in euler[f, j])
+        lines.append(" ".join(parts))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+class TestSerializeMatchesPerValueReference:
+    @given(
+        st.one_of(st.sampled_from([255, 256, 257, 512, 513]),
+                  st.integers(min_value=2, max_value=700)),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    @pytest.mark.filterwarnings("ignore:Gimbal lock detected")
+    def test_random_clips_byte_for_byte(self, frames, joints, seed):
+        rng = np.random.default_rng(seed)
+        root = awkward_floats(rng, (frames, 3), 1e5)
+        eulers = awkward_floats(rng, (frames, joints, 3), 180.0)
+        rotations = euler_deg_to_quat(eulers, "ZXY").reshape(frames, joints, 4)
+        clip = GestureClip(make_skeleton(joints), 30.0, root, rotations, "rand")
+        assert serialize_bvh(clip) == serialize_bvh_per_value(clip)
+
+    def test_fixture_clips_byte_for_byte(self, gesture_dataset):
+        for entry in gesture_dataset.entries:
+            clip = gesture_dataset.clip_for(entry.id)
+            assert serialize_bvh(clip) == serialize_bvh_per_value(clip), entry.id
+
+    def test_negative_zero_root_positions_are_kept(self):
+        clip = constant_clip(make_skeleton(2), identity_quats(2), frame_count=2)
+        clip.root_positions[0, 0] = -1e-9
+        assert b"\n-0.000000 90.000000 0.000000 0.000000" in serialize_bvh(clip)
+
+
+class TestSkeletonMatches:
+    def test_offsets_within_tolerance_match(self):
+        other = make_skeleton(4)
+        other.joints[-1].offset = other.joints[-1].offset + 0.5 * OFFSET_MATCH_TOL
+        assert make_skeleton(4).matches(other)
+
+    def test_last_joint_offset_beyond_tolerance_rejected(self):
+        other = make_skeleton(4)
+        other.joints[-1].offset = other.joints[-1].offset + np.array(
+            [0.0, 2.0 * OFFSET_MATCH_TOL, 0.0]
+        )
+        assert not make_skeleton(4).matches(other)
+        assert not other.matches(make_skeleton(4))
+
+    def test_nan_offset_rejected(self):
+        other = make_skeleton(4)
+        other.joints[2].offset = np.array([0.0, np.nan, 0.0])
+        assert not make_skeleton(4).matches(other)
+        assert not other.matches(other)
+
+    def test_name_parent_and_count_differences_rejected(self):
+        renamed = make_skeleton(3)
+        renamed.joints[2].name = "Other"
+        assert not make_skeleton(3).matches(renamed)
+        assert not make_skeleton(3).matches(make_skeleton(4))
+        reparented = make_skeleton(3)
+        reparented.joints[2].parent = 0
+        assert not make_skeleton(3).matches(reparented)
 
 
 class TestRoundTrip:

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from toonmotion import pipeline
 from toonmotion.bvh import parse_bvh
 from toonmotion.cli import main
 from toonmotion.errors import (
@@ -389,6 +390,22 @@ class TestBundleWrite:
         with pytest.raises(OSError):
             bundle.write(out)
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_face_frame_writes_nothing(self, config, tmp_path,
+                                                  monkeypatch, bad):
+        real_compose = pipeline.compose_face_track
+
+        def compose_with_bad_frame(*args, **kwargs):
+            track = real_compose(*args, **kwargs)
+            track.frames[-1, 3] = bad
+            return track
+
+        monkeypatch.setattr(pipeline, "compose_face_track", compose_with_bad_frame)
+        out = tmp_path / "bundle"
+        with pytest.raises(ValueError, match="non-finite float in JSON output"):
+            synthesize(request(), config, out_dir=out)
+        assert not out.exists() or list(out.iterdir()) == []
 
 
 BUNDLE_GOLDENS = sorted((GOLDENS / "bundles").iterdir())
