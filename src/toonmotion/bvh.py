@@ -4,7 +4,9 @@ Supports the common BVH 1.0 subset: a single ROOT, OFFSET/CHANNELS per
 joint, optional End Site blocks, and a MOTION section with "Frames:" and
 "Frame Time:". The root may carry 6 channels (3 positions + 3 rotations),
 every other joint exactly 3 rotation channels. Rotation orders ZXY, ZYX and
-XYZ are accepted; the serializer always emits ZXY.
+XYZ are accepted; the serializer always emits ZXY. Every number must be
+finite: a NaN or infinite offset, frame time or motion value is a
+BvhSyntaxError at its line and column.
 
 Rotations are converted to unit quaternions (w, x, y, z) at the parse
 boundary and back to Euler degrees only when serializing.
@@ -12,7 +14,9 @@ boundary and back to Euler degrees only when serializing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import re
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,7 +109,7 @@ class GestureClip:
             )
         norms = np.linalg.norm(self.rotations, axis=-1)
         worst = float(np.max(np.abs(norms - 1.0)))
-        if worst > QUAT_NORM_TOL:
+        if not worst <= QUAT_NORM_TOL:  # NaN fails this too
             raise ValidationError(
                 f"non-unit quaternion in clip (|norm-1| = {worst:.2e})"
             )
@@ -119,59 +123,79 @@ class GestureClip:
         return (self.frame_count - 1) / self.fps
 
 
+_TOKEN = re.compile(r"\S+")
+# The line breaks of str.splitlines(), which numbers lines for error messages.
+_LINE_BREAK = re.compile("\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
 class _TokenStream:
+    """Whitespace-separated tokens of a BVH text, read one at a time.
+
+    A token is (text, offset). Line and column are counted only for an
+    error, so the header costs one regex search per token and the motion
+    block, handed over whole by `rest()`, costs nothing here.
+    """
+
     def __init__(self, text: str):
-        self.tokens: list[tuple[str, int, int]] = []
-        for line_no, line in enumerate(text.splitlines(), start=1):
-            col = 0
-            for raw in line.split():
-                col = line.index(raw, col)
-                self.tokens.append((raw, line_no, col + 1))
-                col += len(raw)
-        self.pos = 0
+        self.text = text
+        self.start = 0  # offset of the token read last
+        self.end = 0  # offset just past it
 
-    def peek(self) -> tuple[str, int, int] | None:
-        if self.pos >= len(self.tokens):
-            return None
-        return self.tokens[self.pos]
+    def position(self, offset: int) -> tuple[int, int]:
+        """The 1-based line and column of `offset`."""
+        line, line_start = 1, 0
+        for brk in _LINE_BREAK.finditer(self.text, 0, offset):
+            line, line_start = line + 1, brk.end()
+        return line, offset - line_start + 1
 
-    def next(self, context: str) -> tuple[str, int, int]:
-        tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else ("", 1, 1)
-            raise BvhSyntaxError(f"unexpected end of file, expected {context}",
-                                 line=last[1], column=last[2])
-        self.pos += 1
-        return tok
+    def error(self, message: str, tok: tuple[str, int]) -> BvhSyntaxError:
+        return BvhSyntaxError(message, *self.position(tok[1]))
 
-    def expect(self, literal: str) -> tuple[str, int, int]:
+    def next(self, context: str) -> tuple[str, int]:
+        match = _TOKEN.search(self.text, self.end)
+        if match is None:
+            raise self.error(f"unexpected end of file, expected {context}",
+                             ("", self.start))
+        self.start, self.end = match.span()
+        return match.group(), self.start
+
+    def rest(self) -> list[str]:
+        """Every unread token's text, without advancing the stream."""
+        return self.text[self.end:].split()
+
+    def locate(self, index: int) -> tuple[str, int]:
+        """Reads up to the unread token `index` places on and returns it."""
+        for _ in range(index):
+            self.next("motion value")
+        return self.next("motion value")
+
+    def expect(self, literal: str) -> tuple[str, int]:
         tok = self.next(repr(literal))
         if tok[0] != literal:
-            raise BvhSyntaxError(
-                f"expected {literal!r}, found {tok[0]!r}", line=tok[1], column=tok[2]
-            )
+            raise self.error(f"expected {literal!r}, found {tok[0]!r}", tok)
         return tok
 
     def next_float(self, context: str) -> float:
         tok = self.next(context)
         try:
-            return float(tok[0])
+            value = float(tok[0])
         except ValueError:
-            raise BvhSyntaxError(
-                f"expected a number for {context}, found {tok[0]!r}",
-                line=tok[1],
-                column=tok[2],
+            raise self.error(
+                f"expected a number for {context}, found {tok[0]!r}", tok
             ) from None
+        if not math.isfinite(value):
+            raise self.error(
+                f"expected a finite number for {context}, found {tok[0]!r}", tok
+            )
+        return value
 
     def next_int(self, context: str) -> int:
         tok = self.next(context)
         try:
             return int(tok[0])
         except ValueError:
-            raise BvhSyntaxError(
-                f"expected an integer for {context}, found {tok[0]!r}",
-                line=tok[1],
-                column=tok[2],
+            raise self.error(
+                f"expected an integer for {context}, found {tok[0]!r}", tok
             ) from None
 
 
@@ -183,8 +207,7 @@ def _parse_channels(stream: _TokenStream, is_root: bool, joint_name: str):
     """
     kw = stream.next("CHANNELS")
     if kw[0] != "CHANNELS":
-        raise BvhSyntaxError(f"expected CHANNELS in joint {joint_name!r}",
-                             line=kw[1], column=kw[2])
+        raise stream.error(f"expected CHANNELS in joint {joint_name!r}", kw)
     count = stream.next_int("channel count")
     names = [stream.next("channel name")[0] for _ in range(count)]
 
@@ -251,29 +274,55 @@ def _parse_joint(stream: _TokenStream, joints: list[Joint], joint_slots: list[li
         elif tok[0] == "End":
             site = stream.next("Site")
             if site[0] != "Site":
-                raise BvhSyntaxError("expected 'Site' after 'End'",
-                                     line=site[1], column=site[2])
+                raise stream.error("expected 'Site' after 'End'", site)
             stream.expect("{")
             joints[index].end_offset = _parse_offset(stream)
             stream.expect("}")
         else:
-            raise BvhSyntaxError(
-                f"unexpected token {tok[0]!r} in joint {name!r}",
-                line=tok[1],
-                column=tok[2],
-            )
+            raise stream.error(f"unexpected token {tok[0]!r} in joint {name!r}", tok)
+
+
+def _decode(data: bytes | str) -> str:
+    if not isinstance(data, (bytes, bytearray)):
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lines = (data[:exc.start].decode("utf-8") + "?").splitlines()
+        raise BvhSyntaxError(
+            f"invalid UTF-8 byte 0x{data[exc.start]:02x}",
+            line=len(lines),
+            column=len(lines[-1]),
+        ) from None
+
+
+def _bad_motion_value(stream: _TokenStream, values: list[str]) -> BvhSyntaxError:
+    """The error for the first motion value that is not a finite number."""
+    for index, raw in enumerate(values):
+        try:
+            if math.isfinite(float(raw)):
+                continue
+            expected = "a finite number"
+        except ValueError:
+            expected = "a number"
+        return stream.error(f"expected {expected} in motion data, found {raw!r}",
+                            stream.locate(index))
+    raise AssertionError("every motion value is a finite number")
 
 
 def parse_bvh(data: bytes | str, source_id: str = "") -> GestureClip:
-    """Parse a BVH document into a quaternion-based GestureClip."""
-    text = data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data
-    stream = _TokenStream(text)
+    """Parse a BVH document into a quaternion-based GestureClip.
+
+    The header is read token by token. The motion block is split once,
+    converted with one numpy call, and each distinct rotation order takes
+    one Euler-to-quaternion call over all of its joints and frames.
+    """
+    stream = _TokenStream(_decode(data))
 
     stream.expect("HIERARCHY")
     root_kw = stream.next("ROOT")
     if root_kw[0] != "ROOT":
-        raise BvhSyntaxError("expected ROOT after HIERARCHY",
-                             line=root_kw[1], column=root_kw[2])
+        raise stream.error("expected ROOT after HIERARCHY", root_kw)
 
     joints: list[Joint] = []
     joint_slots: list[list] = []
@@ -284,72 +333,72 @@ def parse_bvh(data: bytes | str, source_id: str = "") -> GestureClip:
     stream.expect("MOTION")
     frames_kw = stream.next("Frames:")
     if frames_kw[0] not in ("Frames:", "Frames"):
-        raise BvhSyntaxError("expected 'Frames:'", line=frames_kw[1], column=frames_kw[2])
+        raise stream.error("expected 'Frames:'", frames_kw)
     if frames_kw[0] == "Frames":
         stream.expect(":")
     declared_frames = stream.next_int("frame count")
 
     ft1 = stream.next("Frame Time:")
     if ft1[0] != "Frame":
-        raise BvhSyntaxError("expected 'Frame Time:'", line=ft1[1], column=ft1[2])
+        raise stream.error("expected 'Frame Time:'", ft1)
     ft2 = stream.next("Time:")
     if ft2[0] not in ("Time:", "Time"):
-        raise BvhSyntaxError("expected 'Time:' after 'Frame'",
-                             line=ft2[1], column=ft2[2])
+        raise stream.error("expected 'Time:' after 'Frame'", ft2)
     if ft2[0] == "Time":
         stream.expect(":")
     frame_time = stream.next_float("frame time")
     if frame_time <= 0:
-        raise BvhSyntaxError("frame time must be positive",
-                             line=ft2[1], column=ft2[2])
+        raise stream.error("frame time must be positive", ft2)
+    fps = 1.0 / frame_time
+    if math.isinf(fps):
+        raise stream.error(f"frame time {frame_time!r} is too small", ft2)
 
     values_per_frame = sum(len(s) for s in joint_slots)
-    remaining = stream.tokens[stream.pos:]
-    if len(remaining) % values_per_frame != 0:
-        tok = remaining[-1] if remaining else ft2
+    values = stream.rest()
+    if len(values) % values_per_frame != 0:
+        last = stream.locate(len(values) - 1) if values else ft2
+        line, _ = stream.position(last[1])
         raise FrameCountMismatch(
-            f"motion data has {len(remaining)} values, not a multiple of "
-            f"{values_per_frame} channels (near line {tok[1]})"
+            f"motion data has {len(values)} values, not a multiple of "
+            f"{values_per_frame} channels (near line {line})"
         )
-    actual_frames = len(remaining) // values_per_frame
+    actual_frames = len(values) // values_per_frame
     if actual_frames != declared_frames:
         raise FrameCountMismatch(
             f"declared {declared_frames} frames but found {actual_frames}"
         )
 
+    # numpy converts each string with Python's float(), so the values are
+    # the ones float() would give, and a failure means some token is not one.
     try:
-        flat = np.array([float(t[0]) for t in remaining], dtype=np.float64)
+        flat = np.array(values, dtype=np.float64)
     except ValueError:
-        for t in remaining:
-            try:
-                float(t[0])
-            except ValueError:
-                raise BvhSyntaxError(
-                    f"expected a number in motion data, found {t[0]!r}",
-                    line=t[1],
-                    column=t[2],
-                ) from None
-        raise
+        raise _bad_motion_value(stream, values) from None
+    if not np.isfinite(flat).all():
+        raise _bad_motion_value(stream, values)
     table = flat.reshape(actual_frames, values_per_frame)
 
     n_joints = len(joints)
     root_positions = np.zeros((actual_frames, 3), dtype=np.float64)
-    rotations = np.empty((actual_frames, n_joints, 4), dtype=np.float64)
+    euler_columns = np.empty((n_joints, 3), dtype=np.intp)
     col = 0
     for j, slots in enumerate(joint_slots):
-        euler = np.empty((actual_frames, 3), dtype=np.float64)
         for kind, slot in slots:
             if kind == "pos":
-                if j == 0:
-                    root_positions[:, slot] = table[:, col]
+                root_positions[:, slot] = table[:, col]
             else:
-                euler[:, slot] = table[:, col]
+                euler_columns[j, slot] = col
             col += 1
-        rotations[:, j, :] = euler_deg_to_quat(euler, joints[j].rotation_order)
+    euler = table[:, euler_columns]
+    orders = np.array([joint.rotation_order for joint in joints])
+    rotations = np.empty((actual_frames, n_joints, 4), dtype=np.float64)
+    for order in dict.fromkeys(orders.tolist()):
+        of_order = orders == order
+        rotations[:, of_order] = euler_deg_to_quat(euler[:, of_order], order)
 
     return GestureClip(
         skeleton=skeleton,
-        fps=1.0 / frame_time,
+        fps=fps,
         root_positions=root_positions,
         rotations=rotations,
         source_id=source_id,

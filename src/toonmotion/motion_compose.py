@@ -18,7 +18,7 @@ import numpy as np
 from .bvh import GestureClip
 from .curves import smoothstep
 from .errors import FpsMismatch, SkeletonMismatch, ValidationError
-from .quat import angle_between, slerp
+from .quat import slerp
 
 DEFAULT_BLEND_S = 0.3
 MIN_TIME_SCALE = 0.5
@@ -134,11 +134,3 @@ def retime_to_speech(clip: GestureClip, speech_duration_s: float) -> GestureClip
                 frac[between])
 
     return GestureClip(clip.skeleton, fps, root, rots, clip.source_id)
-
-
-def max_frame_jump(rotations: np.ndarray) -> float:
-    """Largest per-joint geodesic rotation step between consecutive frames."""
-    if rotations.shape[0] < 2:
-        return 0.0
-    steps = angle_between(rotations[:-1], rotations[1:])
-    return float(np.max(steps))

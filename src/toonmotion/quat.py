@@ -8,6 +8,8 @@ intrinsic rotation orders ("ZXY" etc., matching BVH channel order).
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 from scipy.spatial.transform import Rotation
 
@@ -35,8 +37,14 @@ def euler_deg_to_quat(angles_deg: np.ndarray, order: str) -> np.ndarray:
     `order` string, exactly as they appear in a BVH MOTION row.
     """
     angles = np.asarray(angles_deg, dtype=np.float64)
-    flat = angles.reshape(-1, 3)
-    xyzw = Rotation.from_euler(order.upper(), flat, degrees=True).as_quat()
+    # scipy 1.17 sends a 2-D (N, 3) array through its Cython backend, one
+    # rotation at a time (about 2 us each), and an array of three or more
+    # dimensions through its vectorized numpy backend, several times faster
+    # on long clips. The extra axis only picks the backend: both give
+    # bit-identical quaternions, which tests/test_bvh.py pins for each order.
+    rows = angles.reshape(-1, 1, 3)
+    xyzw = Rotation.from_euler(order.upper(), rows, degrees=True).as_quat()
+    xyzw = xyzw.reshape(-1, 4)
     wxyz = np.concatenate([xyzw[:, 3:4], xyzw[:, :3]], axis=1)
     return canonicalize(wxyz.reshape(angles.shape[:-1] + (4,)))
 
@@ -46,7 +54,13 @@ def quat_to_euler_deg(q: np.ndarray, order: str) -> np.ndarray:
     q = np.asarray(q, dtype=np.float64)
     flat = q.reshape(-1, 4)
     xyzw = np.concatenate([flat[:, 1:4], flat[:, 0:1]], axis=1)
-    angles = Rotation.from_quat(xyzw).as_euler(order.upper(), degrees=True)
+    with warnings.catch_warnings():
+        # With the middle angle at +-90 degrees scipy warns that it sets the
+        # third angle to zero. The angles it returns still describe the same
+        # rotation, so the warning says nothing a caller can act on.
+        warnings.filterwarnings("ignore", message="Gimbal lock detected",
+                                category=UserWarning)
+        angles = Rotation.from_quat(xyzw).as_euler(order.upper(), degrees=True)
     return angles.reshape(q.shape[:-1] + (3,))
 
 

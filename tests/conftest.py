@@ -6,6 +6,7 @@ from pathlib import Path
 from toonmotion.bvh import GestureClip, Joint, Skeleton
 from toonmotion.gesture_retrieval import load_gesture_dataset
 from toonmotion.providers import ReferenceEmbedder
+from toonmotion.quat import angle_between
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDENS = FIXTURES / "goldens"
@@ -76,3 +77,11 @@ def awkward_floats(rng, shape, scale: float) -> np.ndarray:
     ])
     pick = rng.integers(0, len(choices), size=shape)
     return np.take_along_axis(choices, pick[np.newaxis], axis=0)[0]
+
+
+def max_frame_jump(rotations: np.ndarray) -> float:
+    """Largest per-joint geodesic rotation step between consecutive frames."""
+    if rotations.shape[0] < 2:
+        return 0.0
+    steps = angle_between(rotations[:-1], rotations[1:])
+    return float(np.max(steps))

@@ -29,16 +29,12 @@ from toonmotion.face_engine import (
     schedule_blinks,
 )
 from toonmotion.gesture_retrieval import retrieve_sequence
-from toonmotion.motion_compose import (
-    max_frame_jump,
-    retime_to_speech,
-    stitch_clips,
-)
+from toonmotion.motion_compose import retime_to_speech, stitch_clips
 from toonmotion.pipeline import DialogueRequest, load_config, synthesize
 from toonmotion.providers import LexiconEmotionProvider
 from toonmotion.text_semantics import PhraseSpan, reference_embed
 
-from conftest import FIXTURES
+from conftest import FIXTURES, max_frame_jump
 
 _MODULE_T0 = time.monotonic()
 

@@ -10,14 +10,10 @@ import pytest
 from toonmotion.bvh import GestureClip
 from toonmotion.curves import smoothstep
 from toonmotion.errors import FpsMismatch, SkeletonMismatch, ValidationError
-from toonmotion.motion_compose import (
-    max_frame_jump,
-    retime_to_speech,
-    stitch_clips,
-)
+from toonmotion.motion_compose import retime_to_speech, stitch_clips
 from toonmotion.quat import angle_between, euler_deg_to_quat, normalize, slerp
 
-from conftest import constant_clip, identity_quats, make_skeleton
+from conftest import constant_clip, identity_quats, make_skeleton, max_frame_jump
 
 
 def z_rotation_quats(n_joints, degrees):

@@ -3,6 +3,7 @@
 import errno
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -455,6 +456,25 @@ class TestCli:
         ])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    def test_non_finite_clip_value_exits_1(self, tmp_path, capsys):
+        library = tmp_path / "gestures"
+        shutil.copytree(FIXTURES / "gestures", library)
+        clip = library / "clips" / "g_hello.bvh"
+        lines = clip.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[-1] = "nan" + lines[-1][lines[-1].index(" "):]
+        clip.write_text("".join(lines), encoding="utf-8")
+        config = write_config(tmp_path / "cfg",
+                              gesture_dataset=str(library / "gestures.jsonl"))
+        code = main([
+            "synthesize", "--text", "Hello there.", "--duration", "2.0",
+            "--config", str(config), "--out", str(tmp_path / "o"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"line {len(lines)}, col 1: expected a finite number" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code = main([
