@@ -24,6 +24,7 @@ sys.path.insert(0, str(REPO / "src"))
 from toonmotion.bvh import GestureClip, Joint, Skeleton, serialize_bvh
 from toonmotion.cli import main as cli_main
 from toonmotion.face_engine import schedule_blinks
+from toonmotion.pipeline import Config
 from toonmotion.text_semantics import reference_embed
 
 FIXTURES = REPO / "tests" / "fixtures"
@@ -73,7 +74,9 @@ def freeze_reference_embedding():
 
 
 def freeze_blink_onsets():
-    blinks = schedule_blinks(10.0, random.Random(42))
+    blinks = schedule_blinks(10.0, random.Random(42),
+                             mean_gap_s=Config.blink_mean_gap_s,
+                             min_gap_s=Config.blink_min_gap_s)
     onsets = [b.onset_s for b in blinks]
 
     # Independent re-derivation of the documented sampling contract.

@@ -21,7 +21,7 @@ sys.path.insert(0, str(REPO / "src"))
 from toonmotion.bvh import GestureClip, Joint, Skeleton, serialize_bvh
 from toonmotion.expression_dataset import build_dataset
 from toonmotion.jsonutil import canonical_json
-from toonmotion.providers import LexiconEmotionProvider
+from toonmotion.providers import LexiconEmotionProvider, load_emotion_categories
 from toonmotion.quat import euler_deg_to_quat
 
 FIXTURES = REPO / "tests" / "fixtures"
@@ -256,7 +256,8 @@ def write_expression_fixtures():
             encoding="utf-8",
         )
     entries, report = build_dataset(
-        sdir, LexiconEmotionProvider(), out_path=FIXTURES / "expressions.jsonl"
+        sdir, LexiconEmotionProvider(), out_path=FIXTURES / "expressions.jsonl",
+        categories=load_emotion_categories()
     )
     print(f"built expression dataset: {report.to_json_dict()}")
 

@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedChannelLayout,
     ValidationError,
 )
-from .jsonutil import format_float_blocks
+from .jsonutil import decode_utf8, format_float_blocks
 from .quat import euler_deg_to_quat, quat_to_euler_deg
 
 SUPPORTED_ROTATION_ORDERS = ("ZXY", "ZYX", "XYZ")
@@ -67,8 +67,8 @@ class Skeleton:
     def children_of(self, index: int) -> list[int]:
         return [i for i, j in enumerate(self.joints) if j.parent == index]
 
-    def matches(self, other: "Skeleton", tol: float = OFFSET_MATCH_TOL) -> bool:
-        """Structural equality: names, parentage and offsets (within tol)."""
+    def matches(self, other: "Skeleton") -> bool:
+        """Same names and parentage, offsets equal within OFFSET_MATCH_TOL."""
         if len(self.joints) != len(other.joints):
             return False
         for a, b in zip(self.joints, other.joints):
@@ -77,7 +77,7 @@ class Skeleton:
         return np.allclose(
             np.stack([j.offset for j in self.joints]),
             np.stack([j.offset for j in other.joints]),
-            atol=tol, rtol=0.0,
+            atol=OFFSET_MATCH_TOL, rtol=0.0,
         )
 
 
@@ -282,20 +282,6 @@ def _parse_joint(stream: _TokenStream, joints: list[Joint], joint_slots: list[li
             raise stream.error(f"unexpected token {tok[0]!r} in joint {name!r}", tok)
 
 
-def _decode(data: bytes | str) -> str:
-    if not isinstance(data, (bytes, bytearray)):
-        return data
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lines = (data[:exc.start].decode("utf-8") + "?").splitlines()
-        raise BvhSyntaxError(
-            f"invalid UTF-8 byte 0x{data[exc.start]:02x}",
-            line=len(lines),
-            column=len(lines[-1]),
-        ) from None
-
-
 def _bad_motion_value(stream: _TokenStream, values: list[str]) -> BvhSyntaxError:
     """The error for the first motion value that is not a finite number."""
     for index, raw in enumerate(values):
@@ -317,7 +303,9 @@ def parse_bvh(data: bytes | str, source_id: str = "") -> GestureClip:
     converted with one numpy call, and each distinct rotation order takes
     one Euler-to-quaternion call over all of its joints and frames.
     """
-    stream = _TokenStream(_decode(data))
+    if isinstance(data, (bytes, bytearray)):
+        data = decode_utf8(data, BvhSyntaxError)
+    stream = _TokenStream(data)
 
     stream.expect("HIERARCHY")
     root_kw = stream.next("ROOT")

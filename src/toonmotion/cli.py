@@ -20,6 +20,7 @@ from .expression_dataset import (
     build_dataset,
     check_expression_records,
     parse_expression_record,
+    write_expression_dataset,
 )
 from .gesture_retrieval import load_gesture_dataset, retrieve_text
 from .jsonutil import atomic_write_text, canonical_json, iter_jsonl
@@ -86,12 +87,14 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _emotion_provider_for(config_path: Path | None):
+def _emotion_annotator(config_path: Path | None):
+    """Emotion provider and category list of the config, or the offline
+    lexicon and the packaged categories without one."""
     if config_path is None:
-        return LexiconEmotionProvider(), None
+        return LexiconEmotionProvider(), load_emotion_categories(None)
     config = load_config(config_path)
     _, emotion = provider_clients(config)
-    return emotion, config
+    return emotion, load_emotion_categories(config.emotion_categories)
 
 
 def _cmd_synthesize(args) -> int:
@@ -108,13 +111,8 @@ def _cmd_synthesize(args) -> int:
 
 
 def _cmd_build_expressions(args) -> int:
-    if args.config is not None:
-        provider, config = _emotion_provider_for(args.config)
-        categories = load_emotion_categories(config.emotion_categories)
-    else:
-        provider = LexiconEmotionProvider()
-        categories = load_emotion_categories()
-    entries, report = build_dataset(
+    provider, categories = _emotion_annotator(args.config)
+    _, report = build_dataset(
         args.sources, provider, out_path=args.out, categories=categories
     )
     report_json = canonical_json(report.to_json_dict())
@@ -125,10 +123,7 @@ def _cmd_build_expressions(args) -> int:
 
 
 def _cmd_annotate_emotions(args) -> int:
-    provider, config = _emotion_provider_for(args.config)
-    categories = load_emotion_categories(
-        config.emotion_categories if config else None
-    )
+    provider, categories = _emotion_annotator(args.config)
     entries = [
         parse_expression_record(raw, line_no)
         for line_no, raw in iter_jsonl(args.dataset)
@@ -136,8 +131,7 @@ def _cmd_annotate_emotions(args) -> int:
     for entry in entries:
         annotate_emotion(entry, provider, categories)
     entries.sort(key=lambda e: e.id)
-    text = "".join(canonical_json(e.to_json_dict()) + "\n" for e in entries)
-    atomic_write_text(args.out, text)
+    write_expression_dataset(args.out, entries)
     print(f"annotated {len(entries)} entries")
     return 0
 

@@ -11,7 +11,6 @@ plus a summary report.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,8 +25,7 @@ from .errors import (
     ProviderError,
     UnknownOption,
 )
-from .jsonutil import atomic_write_text, canonical_json, iter_jsonl
-from .providers import load_emotion_categories
+from .jsonutil import atomic_write_text, canonical_json, iter_jsonl, read_json
 
 log = logging.getLogger(__name__)
 
@@ -106,6 +104,15 @@ _RIGHT_EYE = slice(15, 19)
 _MOUTH_LEFT, _MOUTH_TOP, _MOUTH_RIGHT, _MOUTH_BOTTOM = 24, 25, 26, 27
 
 BBOX_SLACK = 0.2
+
+# Normalization constants of the landmark geometry pass, and the confidence
+# below which tags are ignored.
+EYE_GAP_SCALE = 0.4
+MOUTH_GAP_SCALE = 0.8
+CORNER_SLOPE_GAIN = 3.0
+BROW_GAIN = 2.0
+BROW_NEUTRAL_RATIO = 0.5
+TAG_CONFIDENCE_FLOOR = 0.35
 
 
 @dataclass(frozen=True)
@@ -211,18 +218,6 @@ class ExpressionEntry:
         }
 
 
-@dataclass(frozen=True)
-class FusionCalibration:
-    """Normalization constants for the landmark geometry pass."""
-
-    eye_gap_scale: float = 0.4
-    mouth_gap_scale: float = 0.8
-    corner_slope_gain: float = 3.0
-    brow_gain: float = 2.0
-    brow_neutral_ratio: float = 0.5
-    tag_confidence_floor: float = 0.35
-
-
 _TAG_EXAGGERATIONS = {
     "blush": "blush",
     "sweat": "sweatDrop",
@@ -276,7 +271,6 @@ def fuse_sources(
     tags: list[Tag],
     landmarks: LandmarkSet,
     answers: ChoiceAnswers,
-    calibration: FusionCalibration = FusionCalibration(),
 ) -> dict[str, float]:
     """Fuse the three inference sources into one blendshape map.
 
@@ -290,12 +284,12 @@ def fuse_sources(
         width = landmarks.eye_width(side)
         gap = landmarks.eye_gap(side)
         shapes[f"eyeBlink{side}"] = _clamp01(
-            1.0 - gap / (calibration.eye_gap_scale * width)
+            1.0 - gap / (EYE_GAP_SCALE * width)
         )
 
     mouth_width = landmarks.mouth_width()
     shapes["jawOpen"] = _clamp01(
-        landmarks.mouth_gap() / (calibration.mouth_gap_scale * mouth_width)
+        landmarks.mouth_gap() / (MOUTH_GAP_SCALE * mouth_width)
     )
 
     center_y = (
@@ -305,21 +299,21 @@ def fuse_sources(
         # Image y grows downward, so a corner above center means a smile.
         lift = (center_y - float(landmarks.points[corner][1])) / mouth_width
         if lift >= 0:
-            shapes[f"mouthSmile{side}"] = _clamp01(calibration.corner_slope_gain * lift)
+            shapes[f"mouthSmile{side}"] = _clamp01(CORNER_SLOPE_GAIN * lift)
         else:
-            shapes[f"mouthFrown{side}"] = _clamp01(-calibration.corner_slope_gain * lift)
+            shapes[f"mouthFrown{side}"] = _clamp01(-CORNER_SLOPE_GAIN * lift)
 
     for side in ("L", "R"):
         width = landmarks.eye_width(side)
         ratio = (landmarks.eye_center_y(side) - landmarks.brow_y(side)) / width
-        delta = ratio - calibration.brow_neutral_ratio
+        delta = ratio - BROW_NEUTRAL_RATIO
         if delta >= 0:
-            shapes[f"browUp{side}"] = _clamp01(calibration.brow_gain * delta)
+            shapes[f"browUp{side}"] = _clamp01(BROW_GAIN * delta)
         else:
-            shapes[f"browDown{side}"] = _clamp01(-calibration.brow_gain * delta)
+            shapes[f"browDown{side}"] = _clamp01(-BROW_GAIN * delta)
 
     for tag in tags:
-        if tag.confidence < calibration.tag_confidence_floor:
+        if tag.confidence < TAG_CONFIDENCE_FLOOR:
             continue
         name = tag.tag
         if name in _TAG_EXAGGERATIONS:
@@ -386,10 +380,10 @@ def restrict_emotion_response(
 def annotate_emotion(
     entry: ExpressionEntry,
     provider,
-    categories: list[str] | None = None,
+    categories: list[str],
 ) -> ExpressionEntry:
     """Attach a provider emotion vector, restricted to the category list."""
-    known = set(load_emotion_categories() if categories is None else categories)
+    known = set(categories)
     dialogue = entry.source.get("dialogue") or ""
     response = provider.infer(dialogue, image_ref=entry.source.get("image_id"))
     entry.emotions = restrict_emotion_response(
@@ -462,8 +456,8 @@ def build_dataset(
     sources_dir: str | Path,
     provider,
     out_path: str | Path | None = None,
-    categories: list[str] | None = None,
-    calibration: FusionCalibration = FusionCalibration(),
+    *,
+    categories: list[str],
 ) -> tuple[list[ExpressionEntry], BuildReport]:
     """Fuse and annotate every source fixture in a directory.
 
@@ -478,10 +472,9 @@ def build_dataset(
 
     for fixture in sorted(sources_dir.glob("*.json")):
         try:
-            with open(fixture, encoding="utf-8") as fh:
-                raw = json.load(fh)
+            raw = read_json(fixture)
             image_id, dialogue, tags, landmarks, answers = parse_source_fixture(raw)
-            shapes = fuse_sources(tags, landmarks, answers, calibration)
+            shapes = fuse_sources(tags, landmarks, answers)
             entry = ExpressionEntry(
                 id=image_id,
                 blendshapes=shapes,
@@ -516,10 +509,14 @@ def build_dataset(
     report.exaggeration_share = with_any / report.total if report.total else 0.0
 
     if out_path is not None:
-        lines = [canonical_json(e.to_json_dict()) for e in entries]
-        text = "".join(line + "\n" for line in lines)
-        atomic_write_text(Path(out_path), text)
+        write_expression_dataset(out_path, entries)
     return entries, report
+
+
+def write_expression_dataset(path: str | Path, entries: list[ExpressionEntry]) -> None:
+    """Write *entries* as expression JSONL, one canonical record per line."""
+    text = "".join(canonical_json(e.to_json_dict()) + "\n" for e in entries)
+    atomic_write_text(path, text)
 
 
 def validate_entry(entry: ExpressionEntry,

@@ -8,7 +8,6 @@ driven by timed phoneme events, and procedurally scheduled blinks.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import re
@@ -32,10 +31,10 @@ from .expression_dataset import (
     ExpressionEntry,
     restrict_emotion_response,
 )
-from .providers import load_emotion_categories, packaged_data_path
+from .jsonutil import read_json
+from .providers import packaged_data_path
 from .text_semantics import cosine_similarity
 
-DEFAULT_TRANSITION_S = 0.4
 VISEME_RAMP_S = 0.06
 LIPSYNC_ALPHA = 0.8
 
@@ -43,8 +42,6 @@ BLINK_CLOSE_S = 0.10
 BLINK_HOLD_S = 0.05
 BLINK_OPEN_S = 0.15
 BLINK_TOTAL_S = BLINK_CLOSE_S + BLINK_HOLD_S + BLINK_OPEN_S
-BLINK_MEAN_GAP_S = 4.0
-BLINK_MIN_GAP_S = 1.0
 
 _CHANNEL_INDEX = {name: i for i, name in enumerate(CHANNEL_REGISTRY)}
 _MOUTH_IDX = np.array([_CHANNEL_INDEX[c] for c in MOUTH_CHANNELS])
@@ -87,8 +84,7 @@ def validate_phonemes(events: list[PhonemeEvent]):
 
 def load_phoneme_file(path: str | Path) -> list[PhonemeEvent]:
     """Read a JSON phoneme timeline: [{"ph": str, "start": num, "end": num}]."""
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = read_json(path)
     if not isinstance(raw, list):
         raise ValidationError("phoneme file must be a JSON array")
     events = []
@@ -181,16 +177,25 @@ def fallback_phonemes(text: str, duration_s: float) -> list[PhonemeEvent]:
 
 def load_viseme_table(path: str | Path | None = None) -> dict[str, dict[str, float]]:
     path = packaged_data_path("viseme_table.json") if path is None else Path(path)
-    with open(path, encoding="utf-8") as fh:
-        table = json.load(fh)
-    if "sil" not in table or "other" not in table:
-        raise ValidationError("viseme table must define 'sil' and 'other'")
+    table = read_json(path)
+    if not isinstance(table, dict) or "sil" not in table or "other" not in table:
+        raise ValidationError(
+            "viseme table must be an object defining 'sil' and 'other'"
+        )
     for ph, pose in table.items():
+        if not isinstance(pose, dict):
+            raise ValidationError(f"viseme {ph!r} must be an object of channel weights")
         for name, weight in pose.items():
             if name not in _CHANNEL_INDEX:
                 raise ValidationError(f"viseme {ph!r} uses unknown channel {name!r}")
-            if not 0.0 <= float(weight) <= 1.0:
-                raise ValidationError(f"viseme {ph!r} weight out of range on {name!r}")
+            try:
+                in_range = 0.0 <= float(weight) <= 1.0
+            except (TypeError, ValueError):
+                in_range = False
+            if not in_range:
+                raise ValidationError(
+                    f"viseme {ph!r} weight {weight!r} on {name!r} is not in [0, 1]"
+                )
     return table
 
 
@@ -207,9 +212,9 @@ class LipsyncResult:
 def lipsync_track(
     phonemes: list[PhonemeEvent],
     fps: float,
-    duration_s: float | None = None,
-    viseme_table: dict[str, dict[str, float]] | None = None,
-    source: str = "file",
+    duration_s: float,
+    viseme_table: dict[str, dict[str, float]],
+    source: str,
 ) -> LipsyncResult:
     """Rasterize phoneme events to per-frame viseme weights.
 
@@ -219,9 +224,6 @@ def lipsync_track(
     lip-sync replaces the base expression's mouth.
     """
     validate_phonemes(phonemes)
-    table = load_viseme_table() if viseme_table is None else viseme_table
-    if duration_s is None:
-        duration_s = max((ev.end_s for ev in phonemes), default=0.0)
     frame_count = int(round(duration_s * fps)) + 1
     times = np.arange(frame_count) / fps
 
@@ -230,7 +232,7 @@ def lipsync_track(
     for ev in phonemes:
         if ev.phoneme == "sil":
             continue
-        pose = table.get(ev.phoneme, table["other"])
+        pose = viseme_table.get(ev.phoneme, viseme_table["other"])
         # The envelope is exactly 0 outside (start, end + ramp); one frame of
         # margin either side absorbs rounding in the frame times.
         lo = max(0, math.floor(ev.start_s * fps) - 1)
@@ -252,14 +254,13 @@ def lipsync_track(
 def infer_dialogue_emotion(
     text: str,
     provider,
-    categories: list[str] | None = None,
+    categories: list[str],
 ) -> dict[str, float]:
     """Emotion vector for an utterance, restricted to the category list."""
     if not text.strip():
         raise ValidationError("dialogue text is empty")
-    known = set(load_emotion_categories() if categories is None else categories)
     response = provider.infer(text)
-    return restrict_emotion_response(response, known, context=" for dialogue")
+    return restrict_emotion_response(response, set(categories), context=" for dialogue")
 
 
 def retrieve_expression(
@@ -313,8 +314,8 @@ class TransitionCurve:
 def plan_transition(
     from_shapes: dict[str, float],
     to_shapes: dict[str, float],
-    t0: float = 0.0,
-    dur: float = DEFAULT_TRANSITION_S,
+    t0: float,
+    dur: float,
 ) -> TransitionCurve:
     if dur <= 0:
         raise ValidationError("transition duration must be positive")
@@ -348,8 +349,9 @@ def schedule_blinks(
     duration_s: float,
     rng: random.Random,
     suppressed_spans: list[tuple[float, float]] | None = None,
-    mean_gap_s: float = BLINK_MEAN_GAP_S,
-    min_gap_s: float = BLINK_MIN_GAP_S,
+    *,
+    mean_gap_s: float,
+    min_gap_s: float,
 ) -> list[BlinkEnvelope]:
     """Seeded blink schedule: exponential gaps, whole envelopes only.
 

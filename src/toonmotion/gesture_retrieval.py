@@ -25,8 +25,6 @@ from .errors import MalformedEntry, MissingClip, NoNeutralGesture
 from .jsonutil import iter_jsonl
 from .text_semantics import PhraseSpan, embed, segment_phrases
 
-DEFAULT_SIMILARITY_THRESHOLD = 0.55
-
 
 class GestureCategory(str, Enum):
     GREETING = "greeting"
@@ -153,7 +151,14 @@ def load_gesture_dataset(path: str | Path, embedder) -> GestureDataset:
         clip_path = base / clip_rel
         if not clip_path.is_file():
             raise MissingClip(f"clip file not found for {entry_id!r}: {clip_path}")
-        clips[entry_id] = parse_bvh(clip_path.read_bytes(), source_id=entry_id)
+        clip = parse_bvh(clip_path.read_bytes(), source_id=entry_id)
+        if not abs(duration_s - clip.duration_s) <= 0.5 / clip.fps:
+            raise MalformedEntry(
+                f"duration_s {duration_s} differs from the clip's "
+                f"{clip.duration_s:.6f} s by more than half a frame",
+                line=line_no, field="duration_s",
+            )
+        clips[entry_id] = clip
 
         parsed.append(
             GestureEntry(
@@ -179,8 +184,8 @@ def load_gesture_dataset(path: str | Path, embedder) -> GestureDataset:
 def retrieve_gesture(
     phrase: PhraseSpan,
     dataset: GestureDataset,
-    threshold: float = DEFAULT_SIMILARITY_THRESHOLD,
-    rng: random.Random | None = None,
+    threshold: float,
+    rng: random.Random,
     query_embedding: np.ndarray | None = None,
 ) -> GestureMatch:
     """Best-similarity gesture for one phrase, neutral fallback below threshold.
@@ -205,7 +210,6 @@ def retrieve_gesture(
 
     if not dataset.neutral_entries:
         raise NoNeutralGesture("no neutral entries available for fallback")
-    rng = rng if rng is not None else random.Random()
     choice = dataset.neutral_entries[rng.randrange(len(dataset.neutral_entries))]
     return GestureMatch(
         entry=choice,
@@ -218,8 +222,8 @@ def retrieve_gesture(
 def retrieve_sequence(
     phrases: list[PhraseSpan],
     dataset: GestureDataset,
-    threshold: float = DEFAULT_SIMILARITY_THRESHOLD,
-    rng: random.Random | None = None,
+    threshold: float,
+    rng: random.Random,
 ) -> list[GestureMatch]:
     """One match per phrase, generator consumed strictly in phrase order."""
     if not phrases:
@@ -234,8 +238,8 @@ def retrieve_sequence(
 def retrieve_text(
     text: str,
     dataset: GestureDataset,
-    threshold: float = DEFAULT_SIMILARITY_THRESHOLD,
-    rng: random.Random | None = None,
+    threshold: float,
+    rng: random.Random,
 ) -> tuple[list[PhraseSpan], list[GestureMatch]]:
     """Segment *text* into phrases and retrieve one gesture per phrase.
 

@@ -1,4 +1,4 @@
-"""Canonical JSON output, JSONL record reading and atomic file writes.
+"""Canonical JSON output, JSON and JSONL reading and atomic file writes.
 
 Every JSON artifact this package emits (datasets, reports, face tracks,
 manifests) goes through :func:`canonical_json` so repeated runs produce
@@ -10,16 +10,17 @@ face-track frames here and the BVH motion rows.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
-from .errors import MalformedEntry
+from .errors import MalformedEntry, ValidationError
 
 # Rows formatted per string operation: one ``%`` over a block keeps the
 # per-value work in C, and a block's argument tuple stays a few MiB at most.
@@ -100,24 +101,58 @@ def canonical_json(obj: Any) -> str:
     return "".join(out)
 
 
+def decode_utf8(data: bytes, error: Callable[[str, int, int], Exception]) -> str:
+    """Decode *data* as UTF-8.
+
+    An invalid byte raises ``error(message, line, column)`` with its 1-based
+    line and column, lines counted as :meth:`str.splitlines` counts them.
+    """
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lines = (data[:exc.start].decode("utf-8") + "?").splitlines()
+        raise error(f"invalid UTF-8 byte 0x{data[exc.start]:02x}",
+                    len(lines), len(lines[-1])) from None
+
+
+def read_json(path: str | Path, error: type[Exception] = ValidationError) -> Any:
+    """Parse a UTF-8 JSON file.
+
+    An undecodable byte or invalid JSON raises *error* naming the file and
+    the line and column.
+    """
+    def fail(message: str, line: int, column: int) -> Exception:
+        return error(f"{path}: line {line}, col {column}: {message}")
+
+    text = decode_utf8(Path(path).read_bytes(), fail)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise fail(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from None
+
+
 def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """Yield ``(line_no, object)`` for every non-blank line of a JSONL file.
 
-    Line numbers are 1-based. Invalid JSON and lines that are not JSON
+    Line numbers are 1-based and lines split as a text-mode file splits
+    them. Undecodable bytes, invalid JSON and lines that are not JSON
     objects raise :class:`MalformedEntry` carrying the line number.
     """
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedEntry(f"invalid JSON: {exc}", line=line_no) from exc
-            if not isinstance(raw, dict):
-                raise MalformedEntry("entry must be a JSON object", line=line_no)
-            yield line_no, raw
+    def fail(message: str, line: int, column: int) -> Exception:
+        return MalformedEntry(f"{message} at col {column}", line=line)
+
+    text = decode_utf8(Path(path).read_bytes(), fail)
+    for line_no, line in enumerate(io.StringIO(text, newline=None), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            raw = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise MalformedEntry(f"invalid JSON: {exc}", line=line_no) from exc
+        if not isinstance(raw, dict):
+            raise MalformedEntry("entry must be a JSON object", line=line_no)
+        yield line_no, raw
 
 
 def atomic_write_files(files: Iterable[tuple[str | Path, bytes]]) -> None:

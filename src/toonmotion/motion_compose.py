@@ -20,7 +20,6 @@ from .curves import smoothstep
 from .errors import FpsMismatch, SkeletonMismatch, ValidationError
 from .quat import slerp
 
-DEFAULT_BLEND_S = 0.3
 MIN_TIME_SCALE = 0.5
 MAX_TIME_SCALE = 2.0
 
@@ -43,9 +42,7 @@ def _blend_into(root, rots, frames, a: GestureClip, a_idx, b: GestureClip, b_idx
         rots[dst] = slerp(a.rotations[ia], b.rotations[ib], w)
 
 
-def stitch_clips(
-    clips: list[GestureClip], blend_s: float = DEFAULT_BLEND_S
-) -> GestureClip:
+def stitch_clips(clips: list[GestureClip], blend_s: float) -> GestureClip:
     """Concatenate clips in order with a smoothstep slerp crossfade per seam.
 
     The crossfade window at each seam is min(blend_s, half of either

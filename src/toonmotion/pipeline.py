@@ -8,7 +8,6 @@ reproducible given (request, config, datasets).
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
 import random
@@ -31,7 +30,7 @@ from .face_engine import (
     schedule_blinks,
 )
 from .gesture_retrieval import load_gesture_dataset, retrieve_text
-from .jsonutil import atomic_write_files, canonical_json
+from .jsonutil import atomic_write_files, canonical_json, read_json
 from .motion_compose import retime_to_speech, stitch_clips
 from .providers import (
     FallbackEmotionProvider,
@@ -48,6 +47,9 @@ EMOTION_ENDPOINT_ENV = "TOONMOTION_EMOTION_ENDPOINT"
 
 @dataclass
 class Config:
+    """Every tunable of a run. Its field defaults are the only copy of each
+    default: library functions take these values as arguments."""
+
     gesture_dataset: Path
     expression_dataset: Path
     provider_mode: str = "offline"
@@ -129,11 +131,7 @@ def load_config(path: str | Path) -> Config:
     (TOONMOTION_EMBED_ENDPOINT / TOONMOTION_EMOTION_ENDPOINT).
     """
     path = Path(path)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    raw = read_json(path, ConfigError)
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
 

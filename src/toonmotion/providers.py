@@ -13,37 +13,24 @@ ProviderUnavailable once retries are exhausted.
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 import time
 from importlib import resources
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, ProviderUnavailable
+from .errors import DimensionMismatch, ProviderUnavailable, ValidationError
+from .jsonutil import read_json
 from .text_semantics import REFERENCE_DIM, reference_embed
 
 log = logging.getLogger(__name__)
 
-DEFAULT_TIMEOUT_S = 10.0
-DEFAULT_RETRIES = 2
 DEFAULT_BACKOFF_S = 0.5
 
 _WORD_RE = re.compile(r"[a-z']+")
-
-
-class EmbeddingProvider(Protocol):
-    dim: int
-    model: str
-
-    def embed(self, texts: Sequence[str]) -> list[np.ndarray]: ...
-
-
-class EmotionProvider(Protocol):
-    def infer(self, text: str, image_ref: str | None = None) -> dict[str, float]: ...
 
 
 def packaged_data_path(name: str) -> Path:
@@ -52,17 +39,19 @@ def packaged_data_path(name: str) -> Path:
 
 
 def load_emotion_categories(path: str | Path | None = None) -> list[str]:
-    """The configured emotion category list (130 names by default)."""
+    """The category list at *path*, else the packaged list of 130 names."""
     path = packaged_data_path("emotion_categories.json") if path is None else Path(path)
-    with open(path, encoding="utf-8") as fh:
-        names = json.load(fh)
-    return list(names)
+    names = read_json(path)
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise ValidationError(
+            f"{path}: emotion categories must be a JSON array of strings"
+        )
+    return names
 
 
 def load_emotion_lexicon(path: str | Path | None = None) -> dict[str, dict[str, float]]:
     path = packaged_data_path("emotion_lexicon.json") if path is None else Path(path)
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    return read_json(path)
 
 
 class ReferenceEmbedder:
@@ -107,48 +96,17 @@ class LexiconEmotionProvider:
         return found
 
 
-def _post_json_with_retries(
-    session,
-    url: str,
-    payload: dict,
-    timeout_s: float,
-    retries: int,
-    backoff_s: float,
-) -> dict:
-    """POST JSON, retrying on 5xx/transport errors; returns the parsed body."""
-    import requests
+class _HttpClient:
+    """A JSON-over-HTTP client that retries 5xx and transport errors with
+    exponential backoff."""
 
-    last_error: Exception | None = None
-    for attempt in range(retries + 1):
-        if attempt > 0 and backoff_s > 0:
-            time.sleep(backoff_s * (2 ** (attempt - 1)))
-        try:
-            response = session.post(url, json=payload, timeout=timeout_s)
-        except requests.RequestException as exc:
-            last_error = exc
-            continue
-        if response.status_code >= 500:
-            last_error = ProviderUnavailable(f"{url} returned {response.status_code}")
-            continue
-        if response.status_code != 200:
-            raise ProviderUnavailable(f"{url} returned {response.status_code}")
-        try:
-            return response.json()
-        except ValueError as exc:
-            raise ProviderUnavailable(f"{url} returned invalid JSON: {exc}") from exc
-    raise ProviderUnavailable(
-        f"{url} unavailable after {retries + 1} attempts: {last_error}"
-    )
-
-
-class HttpEmbeddingProvider:
-    """Client for the /v1/embed endpoint."""
+    model = "remote"
 
     def __init__(
         self,
         endpoint: str,
-        timeout_s: float = DEFAULT_TIMEOUT_S,
-        retries: int = DEFAULT_RETRIES,
+        timeout_s: float,
+        retries: int,
         backoff_s: float = DEFAULT_BACKOFF_S,
         session=None,
     ):
@@ -161,18 +119,44 @@ class HttpEmbeddingProvider:
         self.retries = retries
         self.backoff_s = backoff_s
         self.session = session
-        self.dim: int | None = None
-        self.model = "remote"
+
+    def _post(self, route: str, payload: dict) -> dict:
+        """POST *payload* to *route*; returns the parsed body."""
+        import requests
+
+        url = f"{self.endpoint}{route}"
+        last_error: Exception | None = None
+        for attempt in range(self.retries + 1):
+            if attempt > 0 and self.backoff_s > 0:
+                time.sleep(self.backoff_s * (2 ** (attempt - 1)))
+            try:
+                response = self.session.post(url, json=payload, timeout=self.timeout_s)
+            except requests.RequestException as exc:
+                last_error = exc
+                continue
+            if response.status_code >= 500:
+                last_error = ProviderUnavailable(
+                    f"{url} returned {response.status_code}"
+                )
+                continue
+            if response.status_code != 200:
+                raise ProviderUnavailable(f"{url} returned {response.status_code}")
+            try:
+                return response.json()
+            except ValueError as exc:
+                raise ProviderUnavailable(f"{url} returned invalid JSON: {exc}") from exc
+        raise ProviderUnavailable(
+            f"{url} unavailable after {self.retries + 1} attempts: {last_error}"
+        )
+
+
+class HttpEmbeddingProvider(_HttpClient):
+    """Client for the /v1/embed endpoint."""
+
+    dim: int | None = None
 
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
-        body = _post_json_with_retries(
-            self.session,
-            f"{self.endpoint}/v1/embed",
-            {"texts": list(texts)},
-            self.timeout_s,
-            self.retries,
-            self.backoff_s,
-        )
+        body = self._post("/v1/embed", {"texts": list(texts)})
         try:
             vectors = body["vectors"]
             dim = int(body["dim"])
@@ -194,38 +178,11 @@ class HttpEmbeddingProvider:
         return out
 
 
-class HttpEmotionProvider:
+class HttpEmotionProvider(_HttpClient):
     """Client for the /v1/emotion endpoint."""
 
-    model = "remote"
-
-    def __init__(
-        self,
-        endpoint: str,
-        timeout_s: float = DEFAULT_TIMEOUT_S,
-        retries: int = DEFAULT_RETRIES,
-        backoff_s: float = DEFAULT_BACKOFF_S,
-        session=None,
-    ):
-        if session is None:
-            import requests
-
-            session = requests.Session()
-        self.endpoint = endpoint.rstrip("/")
-        self.timeout_s = timeout_s
-        self.retries = retries
-        self.backoff_s = backoff_s
-        self.session = session
-
     def infer(self, text: str, image_ref: str | None = None) -> dict[str, float]:
-        body = _post_json_with_retries(
-            self.session,
-            f"{self.endpoint}/v1/emotion",
-            {"text": text, "image_ref": image_ref},
-            self.timeout_s,
-            self.retries,
-            self.backoff_s,
-        )
+        body = self._post("/v1/emotion", {"text": text, "image_ref": image_ref})
         emotions = body.get("emotions")
         if not isinstance(emotions, dict):
             raise ProviderUnavailable("malformed emotion response: missing 'emotions'")
@@ -235,7 +192,7 @@ class HttpEmotionProvider:
 class FallbackEmotionProvider:
     """Try a primary provider, fall back to the lexicon when unreachable."""
 
-    def __init__(self, primary: EmotionProvider, fallback: EmotionProvider):
+    def __init__(self, primary, fallback):
         self.primary = primary
         self.fallback = fallback
 

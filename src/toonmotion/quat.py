@@ -94,18 +94,3 @@ def slerp(q0: np.ndarray, q1: np.ndarray, t) -> np.ndarray:
     out = np.where(near, lerped, out)
     return normalize(out)
 
-
-def angle_between(q0: np.ndarray, q1: np.ndarray) -> np.ndarray:
-    """Geodesic rotation angle in radians between unit quaternions.
-
-    Uses the atan2 form (4 * atan2(|q0 - q1|, |q0 + q1|) after sign
-    alignment), which stays well conditioned near zero where arccos loses
-    half the mantissa; identical inputs give exactly 0.
-    """
-    q0 = np.asarray(q0, dtype=np.float64)
-    q1 = np.asarray(q1, dtype=np.float64)
-    dot = np.sum(q0 * q1, axis=-1, keepdims=True)
-    q1 = np.where(dot < 0.0, -q1, q1)
-    diff = np.linalg.norm(q0 - q1, axis=-1)
-    summ = np.linalg.norm(q0 + q1, axis=-1)
-    return 4.0 * np.arctan2(diff, summ)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -24,7 +24,7 @@ CJK_DELIMITERS = "。．、！？"
 ASCII_DELIMITERS = ".!?,;"
 PHRASE_DELIMITERS = CJK_DELIMITERS + ASCII_DELIMITERS
 
-DEFAULT_MAX_PHRASE_CHARS = 40
+MAX_PHRASE_CHARS = 40
 
 # Reference embedder parameters. Character n-grams (n = 1..3) are hashed
 # with SHA-256 under a fixed seed into 256 signed buckets: bucket index
@@ -53,12 +53,12 @@ def _trimmed(text: str, start: int, end: int) -> tuple[int, int]:
     return start, end
 
 
-def _rechunk(text: str, start: int, end: int, max_chars: int) -> list[tuple[int, int]]:
+def _rechunk(text: str, start: int, end: int) -> list[tuple[int, int]]:
     """Split an over-long span at whitespace where possible, else hard-cut."""
     chunks: list[tuple[int, int]] = []
-    while end - start > max_chars:
+    while end - start > MAX_PHRASE_CHARS:
         cut = -1
-        for p in range(start + max_chars, start, -1):
+        for p in range(start + MAX_PHRASE_CHARS, start, -1):
             if text[p].isspace():
                 cut = p
                 break
@@ -66,8 +66,8 @@ def _rechunk(text: str, start: int, end: int, max_chars: int) -> list[tuple[int,
             chunk = _trimmed(text, start, cut)
             start = cut + 1
         else:
-            chunk = (start, start + max_chars)
-            start = start + max_chars
+            chunk = (start, start + MAX_PHRASE_CHARS)
+            start = start + MAX_PHRASE_CHARS
         if chunk[0] < chunk[1]:
             chunks.append(chunk)
     final = _trimmed(text, start, end)
@@ -76,18 +76,14 @@ def _rechunk(text: str, start: int, end: int, max_chars: int) -> list[tuple[int,
     return chunks
 
 
-def segment_phrases(
-    text: str, max_phrase_chars: int = DEFAULT_MAX_PHRASE_CHARS
-) -> list[PhraseSpan]:
+def segment_phrases(text: str) -> list[PhraseSpan]:
     """Split dialogue text into phrase spans.
 
     A maximal run of delimiter characters ends a phrase; the run's leading
     ASCII marks stay inside the phrase, CJK marks are consumed. Spans
-    longer than *max_phrase_chars* are re-chunked at whitespace (hard cut
+    longer than MAX_PHRASE_CHARS are re-chunked at whitespace (hard cut
     when a chunk has none). Empty input yields an empty list.
     """
-    if max_phrase_chars <= 0:
-        raise ValueError("max_phrase_chars must be positive")
     raw: list[tuple[int, int]] = []
     n = len(text)
     start = 0
@@ -113,7 +109,7 @@ def segment_phrases(
         s, e = _trimmed(text, s, e)
         if s >= e:
             continue
-        bounded.extend(_rechunk(text, s, e, max_phrase_chars))
+        bounded.extend(_rechunk(text, s, e))
 
     return [
         PhraseSpan(text=text[s:e], start_char=s, end_char=e, ordinal=k)

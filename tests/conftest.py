@@ -6,7 +6,6 @@ from pathlib import Path
 from toonmotion.bvh import GestureClip, Joint, Skeleton
 from toonmotion.gesture_retrieval import load_gesture_dataset
 from toonmotion.providers import ReferenceEmbedder
-from toonmotion.quat import angle_between
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDENS = FIXTURES / "goldens"
@@ -77,6 +76,22 @@ def awkward_floats(rng, shape, scale: float) -> np.ndarray:
     ])
     pick = rng.integers(0, len(choices), size=shape)
     return np.take_along_axis(choices, pick[np.newaxis], axis=0)[0]
+
+
+def angle_between(q0: np.ndarray, q1: np.ndarray) -> np.ndarray:
+    """Geodesic rotation angle in radians between unit quaternions.
+
+    Uses the atan2 form (4 * atan2(|q0 - q1|, |q0 + q1|) after sign
+    alignment), which stays well conditioned near zero where arccos loses
+    half the mantissa; identical inputs give exactly 0.
+    """
+    q0 = np.asarray(q0, dtype=np.float64)
+    q1 = np.asarray(q1, dtype=np.float64)
+    dot = np.sum(q0 * q1, axis=-1, keepdims=True)
+    q1 = np.where(dot < 0.0, -q1, q1)
+    diff = np.linalg.norm(q0 - q1, axis=-1)
+    summ = np.linalg.norm(q0 + q1, axis=-1)
+    return 4.0 * np.arctan2(diff, summ)
 
 
 def max_frame_jump(rotations: np.ndarray) -> float:

@@ -25,16 +25,17 @@ from toonmotion.face_engine import (
     fallback_phonemes,
     infer_dialogue_emotion,
     lipsync_track,
+    load_viseme_table,
     retrieve_expression,
     schedule_blinks,
 )
 from toonmotion.gesture_retrieval import retrieve_sequence
 from toonmotion.motion_compose import retime_to_speech, stitch_clips
-from toonmotion.pipeline import DialogueRequest, load_config, synthesize
-from toonmotion.providers import LexiconEmotionProvider
+from toonmotion.pipeline import Config, DialogueRequest, load_config, synthesize
+from toonmotion.providers import LexiconEmotionProvider, load_emotion_categories
 from toonmotion.text_semantics import PhraseSpan, reference_embed
 
-from conftest import FIXTURES, max_frame_jump
+from conftest import FIXTURES, angle_between, max_frame_jump
 
 _MODULE_T0 = time.monotonic()
 
@@ -113,7 +114,8 @@ class TestAcceptance:
             def infer(self, text, image_ref=None):
                 return {"Joy": 0.8, "Amusement": 0.7, "Interest": 0.65}
 
-        query = infer_dialogue_emotion("what a delight", Stub())
+        query = infer_dialogue_emotion("what a delight", Stub(),
+                                       categories=load_emotion_categories())
         entries = [
             ExpressionEntry("joy_face", empty_blendshapes(), {"Joy": 1.0}, {}),
             ExpressionEntry("sad_face", empty_blendshapes(), {"Sadness": 1.0}, {}),
@@ -137,7 +139,7 @@ class TestAcceptance:
             combo = rng.sample(ids, count)
             clips = [gesture_dataset.clip_for(i) for i in combo]
             source_max = max(max_frame_jump(c.rotations) for c in clips)
-            track = stitch_clips(clips)
+            track = stitch_clips(clips, blend_s=Config.blend_s)
             excess = max_frame_jump(track.rotations) - source_max
             worst_excess = max(worst_excess, excess)
             norms = np.linalg.norm(track.rotations, axis=-1)
@@ -156,7 +158,7 @@ class TestAcceptance:
         for _ in range(50):
             combo = rng.sample(ids, rng.randint(1, 4))
             clips = [gesture_dataset.clip_for(i) for i in combo]
-            track = stitch_clips(clips)
+            track = stitch_clips(clips, blend_s=Config.blend_s)
             speech = rng.uniform(0.5, 9.0)
             out = retime_to_speech(track, speech)
             err = abs(out.duration_s - speech)
@@ -167,7 +169,6 @@ class TestAcceptance:
 
     def test_5_bvh_round_trip(self, gesture_dataset):
         worst_angle = 0.0
-        from toonmotion.quat import angle_between
 
         for entry in gesture_dataset.entries:
             clip = gesture_dataset.clip_for(entry.id)
@@ -190,7 +191,8 @@ class TestAcceptance:
         out_a = tmp_path / "a.jsonl"
         out_b = tmp_path / "b.jsonl"
         entries, report = build_dataset(
-            FIXTURES / "expression_sources", LexiconEmotionProvider(), out_a
+            FIXTURES / "expression_sources", LexiconEmotionProvider(), out_a,
+            categories=load_emotion_categories()
         )
         assert report.total == 10
         assert report.rejects == []
@@ -198,7 +200,8 @@ class TestAcceptance:
         assert sorted(report.exaggeration_counts) == sorted(EXAGGERATION_CHANNELS)
         assert all(v == 1 for v in report.exaggeration_counts.values())
         build_dataset(
-            FIXTURES / "expression_sources", LexiconEmotionProvider(), out_b
+            FIXTURES / "expression_sources", LexiconEmotionProvider(), out_b,
+            categories=load_emotion_categories()
         )
         assert out_a.read_bytes() == out_b.read_bytes()
         print("PASS criterion 6: 10-image build, exaggeration share exactly "
@@ -217,9 +220,12 @@ class TestAcceptance:
             entry = ExpressionEntry(f"e{tracks}", shapes, {"Joy": 1.0}, {})
             text = rng.choice(["wow amazing", "hello there", "こんにちは", ""])
             lipsync = lipsync_track(
-                fallback_phonemes(text, duration), 30.0, duration_s=duration
+                fallback_phonemes(text, duration), 30.0, duration_s=duration,
+                viseme_table=load_viseme_table(), source="file"
             )
-            blinks = schedule_blinks(duration, rng)
+            blinks = schedule_blinks(duration, rng,
+                                     mean_gap_s=Config.blink_mean_gap_s,
+                                     min_gap_s=Config.blink_min_gap_s)
             if rng.random() < 0.3:
                 blinks = blinks + [BlinkEnvelope(rng.uniform(0, duration))]
             track = compose_face_track(

@@ -32,15 +32,11 @@ from toonmotion.errors import (
     UnsupportedChannelLayout,
     ValidationError,
 )
-from toonmotion.quat import (
-    angle_between,
-    canonicalize,
-    euler_deg_to_quat,
-    quat_to_euler_deg,
-)
+from toonmotion.quat import canonicalize, euler_deg_to_quat, quat_to_euler_deg
 
 from conftest import (
     FIXTURES,
+    angle_between,
     awkward_floats,
     constant_clip,
     identity_quats,

@@ -402,13 +402,15 @@ class TestAnnotation:
         from toonmotion.expression_dataset import annotate_emotion
 
         entry = annotate_emotion(self.make_entry("That is wonderful"),
-                                 LexiconEmotionProvider())
+                                 LexiconEmotionProvider(),
+                                 categories=load_emotion_categories())
         assert entry.emotions == {"Joy": 0.8}
 
     def test_missing_dialogue_goes_calm(self):
         from toonmotion.expression_dataset import annotate_emotion
 
-        entry = annotate_emotion(self.make_entry(None), LexiconEmotionProvider())
+        entry = annotate_emotion(self.make_entry(None), LexiconEmotionProvider(),
+                                 categories=load_emotion_categories())
         assert entry.emotions == {"Calmness": 0.5}
 
 
@@ -416,7 +418,8 @@ class TestBuild:
     def test_fixture_corpus_builds_clean(self, tmp_path):
         out = tmp_path / "expressions.jsonl"
         entries, report = build_dataset(
-            FIXTURES / "expression_sources", LexiconEmotionProvider(), out
+            FIXTURES / "expression_sources", LexiconEmotionProvider(), out,
+            categories=load_emotion_categories()
         )
         assert report.total == 10
         assert report.rejects == []
@@ -429,14 +432,17 @@ class TestBuild:
     def test_rebuild_is_byte_identical(self, tmp_path):
         a = tmp_path / "a.jsonl"
         b = tmp_path / "b.jsonl"
-        build_dataset(FIXTURES / "expression_sources", LexiconEmotionProvider(), a)
-        build_dataset(FIXTURES / "expression_sources", LexiconEmotionProvider(), b)
+        build_dataset(FIXTURES / "expression_sources", LexiconEmotionProvider(), a,
+                      categories=load_emotion_categories())
+        build_dataset(FIXTURES / "expression_sources", LexiconEmotionProvider(), b,
+                      categories=load_emotion_categories())
         assert a.read_bytes() == b.read_bytes()
 
     def test_built_file_round_trips(self, tmp_path):
         out = tmp_path / "expressions.jsonl"
         entries, _ = build_dataset(
-            FIXTURES / "expression_sources", LexiconEmotionProvider(), out
+            FIXTURES / "expression_sources", LexiconEmotionProvider(), out,
+            categories=load_emotion_categories()
         )
         loaded = load_expression_dataset(out)
         assert [e.id for e in loaded] == [e.id for e in entries]
@@ -449,7 +455,8 @@ class TestBuild:
         src = tmp_path / "sources"
         shutil.copytree(FIXTURES / "expression_sources", src)
         (src / "img03.json").write_text('{"image_id": "img03"}', encoding="utf-8")
-        entries, report = build_dataset(src, LexiconEmotionProvider())
+        entries, report = build_dataset(src, LexiconEmotionProvider(),
+                                        categories=load_emotion_categories())
         assert report.total == 9
         assert len(report.rejects) == 1
         assert report.rejects[0]["file"] == "img03.json"
@@ -462,11 +469,13 @@ class TestBuild:
 
         out = tmp_path / "expressions.jsonl"
         with pytest.raises(ProviderUnavailable):
-            build_dataset(FIXTURES / "expression_sources", Down(), out)
+            build_dataset(FIXTURES / "expression_sources", Down(), out,
+                          categories=load_emotion_categories())
         assert not out.exists()
 
     def test_empty_directory(self, tmp_path):
-        entries, report = build_dataset(tmp_path, LexiconEmotionProvider())
+        entries, report = build_dataset(tmp_path, LexiconEmotionProvider(),
+                                        categories=load_emotion_categories())
         assert entries == []
         assert report.total == 0
         assert report.exaggeration_share == 0.0
@@ -480,7 +489,8 @@ class TestBuild:
         for name in ("a.json", "b.json"):
             (src / name).write_text(json.dumps(fixture), encoding="utf-8")
         with pytest.raises(MalformedEntry):
-            build_dataset(src, LexiconEmotionProvider())
+            build_dataset(src, LexiconEmotionProvider(),
+                          categories=load_emotion_categories())
 
 
 class TestValidateEntry:

@@ -38,7 +38,8 @@ from toonmotion.face_engine import (
     schedule_blinks,
     validate_phonemes,
 )
-from toonmotion.providers import LexiconEmotionProvider
+from toonmotion.pipeline import Config
+from toonmotion.providers import LexiconEmotionProvider, load_emotion_categories
 
 from conftest import GOLDENS
 
@@ -157,26 +158,30 @@ class TestVisemeTable:
 
 class TestLipsync:
     def test_silence_has_no_motion(self):
-        result = lipsync_track([ev("sil", 0.0, 1.0)], fps=30.0)
+        result = lipsync_track([ev("sil", 0.0, 1.0)], fps=30.0, duration_s=1.0,
+                               viseme_table=load_viseme_table(), source="file")
         assert np.all(result.values == 0.0)
         assert np.all(result.voicing == 0.0)
 
     def test_vowel_plateau_reaches_table_weight(self):
-        result = lipsync_track([ev("a", 0.0, 0.5)], fps=100.0, duration_s=0.5)
+        result = lipsync_track([ev("a", 0.0, 0.5)], fps=100.0, duration_s=0.5,
+                               viseme_table=load_viseme_table(), source="file")
         jaw = result.values[:, 15]  # jawOpen
         mid = int(0.25 * 100)
         assert jaw[mid] == pytest.approx(0.7, abs=1e-9)
         assert result.voicing[mid] == pytest.approx(1.0, abs=1e-9)
 
     def test_ramp_is_smoothstep(self):
-        result = lipsync_track([ev("a", 0.0, 0.5)], fps=100.0, duration_s=0.5)
+        result = lipsync_track([ev("a", 0.0, 0.5)], fps=100.0, duration_s=0.5,
+                               viseme_table=load_viseme_table(), source="file")
         jaw = result.values[:, 15]
         # halfway through the 60 ms attack: smoothstep(0.5) = 0.5
         assert jaw[3] == pytest.approx(0.7 * 0.5, abs=1e-9)
 
     def test_bilabial_closes_the_jaw(self):
         events = [ev("a", 0.0, 0.2), ev("MBP", 0.2, 0.35)]
-        result = lipsync_track(events, fps=50.0, duration_s=0.4)
+        result = lipsync_track(events, fps=50.0, duration_s=0.4,
+                               viseme_table=load_viseme_table(), source="file")
         t_idx = int(round(0.26 * 50))  # 0.06 s after the vowel ended
         assert result.values[t_idx, 15] == pytest.approx(0.0, abs=1e-9)
         press = result.values[t_idx, 23]  # mouthPressL
@@ -185,22 +190,26 @@ class TestLipsync:
 
     def test_voicing_ignores_silence(self):
         events = [ev("a", 0.0, 0.2), ev("sil", 0.2, 0.8), ev("o", 0.8, 1.0)]
-        result = lipsync_track(events, fps=30.0, duration_s=1.0)
+        result = lipsync_track(events, fps=30.0, duration_s=1.0,
+                               viseme_table=load_viseme_table(), source="file")
         mid = 15  # t = 0.5, deep inside the sil event
         assert result.voicing[mid] == pytest.approx(0.0, abs=1e-6)
 
     def test_unknown_phoneme_uses_other_pose(self):
-        result = lipsync_track([ev("zz", 0.0, 0.5)], fps=30.0, duration_s=0.5)
+        result = lipsync_track([ev("zz", 0.0, 0.5)], fps=30.0, duration_s=0.5,
+                               viseme_table=load_viseme_table(), source="file")
         jaw = result.values[:, 15]
         assert jaw.max() == pytest.approx(0.25, abs=1e-9)
 
     def test_values_bounded_by_voicing_scaled_table(self):
         events = [ev("a", 0.0, 0.3), ev("i", 0.3, 0.6), ev("MBP", 0.6, 0.8)]
-        result = lipsync_track(events, fps=60.0, duration_s=1.0)
+        result = lipsync_track(events, fps=60.0, duration_s=1.0,
+                               viseme_table=load_viseme_table(), source="file")
         assert np.all(result.values <= result.voicing[:, np.newaxis] + 1e-12)
 
     def test_frame_count(self):
-        result = lipsync_track([ev("a", 0.0, 1.0)], fps=30.0, duration_s=1.5)
+        result = lipsync_track([ev("a", 0.0, 1.0)], fps=30.0, duration_s=1.5,
+                               viseme_table=load_viseme_table(), source="file")
         assert result.values.shape[0] == 46
 
     @pytest.mark.parametrize("fps", [24.0, 29.97, 30.0, 60.0])
@@ -215,7 +224,8 @@ class TestLipsync:
             events.append(ev(phoneme, t, t + d))
             t += d + rng.choice([0.0, rng.uniform(0.0, 0.2)])
         duration = t * 0.9
-        result = lipsync_track(events, fps, duration_s=duration, viseme_table=table)
+        result = lipsync_track(events, fps, duration_s=duration, viseme_table=table,
+                               source="file")
 
         times = np.arange(int(round(duration * fps)) + 1) / fps
         values = np.zeros_like(result.values)
@@ -236,20 +246,24 @@ class TestLipsync:
 class TestEmotionInference:
     def test_lexicon_example(self):
         emotions = infer_dialogue_emotion(
-            "That is wonderful", LexiconEmotionProvider()
+            "That is wonderful", LexiconEmotionProvider(),
+            categories=load_emotion_categories()
         )
         assert emotions == {"Joy": 0.8}
 
     def test_empty_text_rejected(self):
         with pytest.raises(ValidationError):
-            infer_dialogue_emotion("   ", LexiconEmotionProvider())
+            infer_dialogue_emotion("   ", LexiconEmotionProvider(),
+                                   categories=load_emotion_categories())
 
     def test_unknown_categories_filtered(self):
         class Weird:
             def infer(self, text, image_ref=None):
                 return {"Joy": 0.9, "Bloop": 0.5}
 
-        assert infer_dialogue_emotion("x", Weird()) == {"Joy": 0.9}
+        assert infer_dialogue_emotion(
+            "x", Weird(), categories=load_emotion_categories()
+        ) == {"Joy": 0.9}
 
 
 class TestExpressionRetrieval:
@@ -341,55 +355,77 @@ class TestBlinks:
         golden = json.loads(
             (GOLDENS / "blink_onsets_seed42_10s.json").read_text(encoding="utf-8")
         )
-        blinks = schedule_blinks(10.0, random.Random(42))
+        blinks = schedule_blinks(10.0, random.Random(42),
+                                 mean_gap_s=Config.blink_mean_gap_s,
+                                 min_gap_s=Config.blink_min_gap_s)
         assert [b.onset_s for b in blinks] == golden
 
     def test_deterministic(self):
         runs = {
-            tuple(b.onset_s for b in schedule_blinks(10.0, random.Random(42)))
+            tuple(b.onset_s for b in schedule_blinks(10.0, random.Random(42),
+                                                     mean_gap_s=Config.blink_mean_gap_s,
+                                                     min_gap_s=Config.blink_min_gap_s))
             for _ in range(50)
         }
         assert len(runs) == 1
 
     def test_every_blink_completes_before_end(self):
         for seed in range(30):
-            for blink in schedule_blinks(3.0, random.Random(seed)):
+            for blink in schedule_blinks(3.0, random.Random(seed),
+                                         mean_gap_s=Config.blink_mean_gap_s,
+                                         min_gap_s=Config.blink_min_gap_s):
                 assert blink.onset_s + BLINK_TOTAL_S <= 3.0 + 1e-9
 
     def test_minimum_gap_enforced(self):
         for seed in range(30):
-            blinks = schedule_blinks(30.0, random.Random(seed))
+            blinks = schedule_blinks(30.0, random.Random(seed),
+                                     mean_gap_s=Config.blink_mean_gap_s,
+                                     min_gap_s=Config.blink_min_gap_s)
             for a, b in zip(blinks, blinks[1:]):
                 assert b.onset_s - (a.onset_s + BLINK_TOTAL_S) >= 1.0 - 1e-9
 
     def test_short_duration_has_no_blinks(self):
-        assert schedule_blinks(0.5, random.Random(0)) == []
+        assert schedule_blinks(0.5, random.Random(0),
+                               mean_gap_s=Config.blink_mean_gap_s,
+                               min_gap_s=Config.blink_min_gap_s) == []
 
     def test_suppression_drops_only_overlapping(self):
-        base = schedule_blinks(10.0, random.Random(42))
+        base = schedule_blinks(10.0, random.Random(42),
+                               mean_gap_s=Config.blink_mean_gap_s,
+                               min_gap_s=Config.blink_min_gap_s)
         span = (base[1].onset_s, base[1].onset_s + 0.01)
         pruned = schedule_blinks(10.0, random.Random(42),
-                                 suppressed_spans=[span])
+                                 suppressed_spans=[span],
+                                 mean_gap_s=Config.blink_mean_gap_s,
+                                 min_gap_s=Config.blink_min_gap_s)
         assert [b.onset_s for b in pruned] == [
             b.onset_s for b in base if not b.overlaps(span)
         ]
         assert len(pruned) == len(base) - 1
 
     def test_suppression_does_not_shift_later_blinks(self):
-        base = schedule_blinks(10.0, random.Random(42))
+        base = schedule_blinks(10.0, random.Random(42),
+                               mean_gap_s=Config.blink_mean_gap_s,
+                               min_gap_s=Config.blink_min_gap_s)
         pruned = schedule_blinks(10.0, random.Random(42),
-                                 suppressed_spans=[(0.0, 5.0)])
+                                 suppressed_spans=[(0.0, 5.0)],
+                                 mean_gap_s=Config.blink_mean_gap_s,
+                                 min_gap_s=Config.blink_min_gap_s)
         survivors = [b.onset_s for b in base if b.onset_s >= 5.0]
         assert [b.onset_s for b in pruned] == survivors
 
     def test_full_suppression(self):
         blinks = schedule_blinks(10.0, random.Random(42),
-                                 suppressed_spans=[(0.0, 10.0)])
+                                 suppressed_spans=[(0.0, 10.0)],
+                                 mean_gap_s=Config.blink_mean_gap_s,
+                                 min_gap_s=Config.blink_min_gap_s)
         assert blinks == []
 
     def test_rejects_non_positive_duration(self):
         with pytest.raises(ValidationError):
-            schedule_blinks(0.0, random.Random(0))
+            schedule_blinks(0.0, random.Random(0),
+                            mean_gap_s=Config.blink_mean_gap_s,
+                            min_gap_s=Config.blink_min_gap_s)
 
 
 class TestCompose:
@@ -417,7 +453,8 @@ class TestCompose:
 
     def test_lipsync_layering_formula(self):
         lipsync = lipsync_track(
-            [ev("a", 0.0, 1.0)], fps=30.0, duration_s=1.0
+            [ev("a", 0.0, 1.0)], fps=30.0, duration_s=1.0,
+            viseme_table=load_viseme_table(), source="file"
         )
         track = compose_face_track(
             self.static_entry(mouthSmileL=1.0, jawOpen=0.1),
@@ -429,7 +466,8 @@ class TestCompose:
 
     def test_lipsync_leaves_base_during_silence(self):
         lipsync = lipsync_track(
-            [ev("sil", 0.0, 1.0)], fps=30.0, duration_s=1.0
+            [ev("sil", 0.0, 1.0)], fps=30.0, duration_s=1.0,
+            viseme_table=load_viseme_table(), source="file"
         )
         track = compose_face_track(
             self.static_entry(mouthSmileL=0.6), None, [], lipsync, 1.0, 30.0
@@ -437,7 +475,8 @@ class TestCompose:
         assert np.all(track.channel("mouthSmileL") == pytest.approx(0.6))
 
     def test_lipsync_does_not_touch_non_mouth_channels(self):
-        lipsync = lipsync_track([ev("a", 0.0, 1.0)], fps=30.0, duration_s=1.0)
+        lipsync = lipsync_track([ev("a", 0.0, 1.0)], fps=30.0, duration_s=1.0,
+                                viseme_table=load_viseme_table(), source="file")
         track = compose_face_track(
             self.static_entry(browUpL=0.5), None, [], lipsync, 1.0, 30.0
         )
@@ -465,18 +504,20 @@ class TestCompose:
         assert np.all(np.diff(jaw) >= -1e-12)
 
     def test_fps_mismatch_rejected(self):
-        lipsync = lipsync_track([ev("a", 0.0, 1.0)], fps=24.0, duration_s=1.0)
+        lipsync = lipsync_track([ev("a", 0.0, 1.0)], fps=24.0, duration_s=1.0,
+                                viseme_table=load_viseme_table(), source="file")
         with pytest.raises(DurationMismatch):
             compose_face_track(self.static_entry(), None, [], lipsync, 1.0, 30.0)
 
     def test_frame_count_mismatch_rejected(self):
-        lipsync = lipsync_track([ev("a", 0.0, 1.0)], fps=30.0, duration_s=2.0)
+        lipsync = lipsync_track([ev("a", 0.0, 1.0)], fps=30.0, duration_s=2.0,
+                                viseme_table=load_viseme_table(), source="file")
         with pytest.raises(DurationMismatch):
             compose_face_track(self.static_entry(), None, [], lipsync, 1.0, 30.0)
 
     def test_provenance_contents(self):
         lipsync = lipsync_track([ev("a", 0.0, 1.0)], fps=30.0, duration_s=1.0,
-                                source="fallback")
+                                source="fallback", viseme_table=load_viseme_table())
         track = compose_face_track(
             self.static_entry(), None, [BlinkEnvelope(0.25)], lipsync, 1.0, 30.0
         )
@@ -506,10 +547,13 @@ class TestCompose:
         lipsync = lipsync_track(
             fallback_phonemes("wow amazing", duration),
             fps=30.0, duration_s=duration,
+            viseme_table=load_viseme_table(), source="file",
         )
         track = compose_face_track(
             self.static_entry(**shapes), None,
-            schedule_blinks(duration, rng) if duration > 0 else [],
+            schedule_blinks(duration, rng,
+                            mean_gap_s=Config.blink_mean_gap_s,
+                            min_gap_s=Config.blink_min_gap_s) if duration > 0 else [],
             lipsync, duration, 30.0,
         )
         assert np.all(track.frames >= 0.0)

@@ -18,6 +18,7 @@ from toonmotion.gesture_retrieval import (
     retrieve_gesture,
     retrieve_sequence,
 )
+from toonmotion.pipeline import Config
 from toonmotion.text_semantics import PhraseSpan, cosine_similarity, embed
 
 from conftest import FIXTURES, GOLDENS
@@ -130,6 +131,22 @@ class TestLoading:
             load_gesture_dataset(path, embedder)
         assert info.value.line == 2
 
+    def test_duration_must_match_clip(self, tmp_path, embedder):
+        # g_hello.bvh runs 1.2 s at 30 fps; the limit is half a frame.
+        path = write_dataset(
+            tmp_path, [NEUTRAL_ROW, row("g1", "hi", duration_s=1.2 + 0.6 / 30)]
+        )
+        with pytest.raises(MalformedEntry) as info:
+            load_gesture_dataset(path, embedder)
+        assert info.value.field == "duration_s"
+        assert info.value.line == 2
+
+    def test_duration_within_half_a_frame_loads(self, tmp_path, embedder):
+        path = write_dataset(
+            tmp_path, [NEUTRAL_ROW, row("g1", "hi", duration_s=1.2 - 0.4 / 30)]
+        )
+        assert len(load_gesture_dataset(path, embedder)) == 2
+
     def test_blank_lines_skipped(self, tmp_path, embedder):
         path = write_dataset(tmp_path, [NEUTRAL_ROW])
         with open(path, "a", encoding="utf-8") as fh:
@@ -140,13 +157,17 @@ class TestLoading:
 
 class TestRetrieval:
     def test_exact_phrase_has_similarity_one(self, gesture_dataset):
-        match = retrieve_gesture(span("Hello there."), gesture_dataset)
+        match = retrieve_gesture(span("Hello there."), gesture_dataset,
+                                 threshold=Config.similarity_threshold,
+                                 rng=random.Random(0))
         assert match.entry.id == "g_hello"
         assert match.similarity == pytest.approx(1.0, abs=1e-9)
         assert not match.fallback
 
     def test_close_phrase_beats_threshold(self, gesture_dataset):
-        match = retrieve_gesture(span("That is wonderful!"), gesture_dataset)
+        match = retrieve_gesture(span("That is wonderful!"), gesture_dataset,
+                                 threshold=Config.similarity_threshold,
+                                 rng=random.Random(0))
         assert match.entry.id == "g_wonderful"
         assert match.similarity > 0.55
         assert not match.fallback
@@ -154,7 +175,8 @@ class TestRetrieval:
     def test_below_threshold_falls_back_to_neutral(self, gesture_dataset):
         rng = random.Random(7)
         match = retrieve_gesture(
-            span("zqxv jkwp mbfg"), gesture_dataset, rng=rng
+            span("zqxv jkwp mbfg"), gesture_dataset, rng=rng,
+            threshold=Config.similarity_threshold
         )
         assert match.fallback
         assert match.entry.neutral
@@ -165,14 +187,16 @@ class TestRetrieval:
             (GOLDENS / "neutral_draw_seed7.json").read_text(encoding="utf-8")
         )
         match = retrieve_gesture(
-            span("zqxv jkwp mbfg"), gesture_dataset, rng=random.Random(7)
+            span("zqxv jkwp mbfg"), gesture_dataset, rng=random.Random(7),
+            threshold=Config.similarity_threshold
         )
         assert match.entry.id == golden["entry_id"]
 
     def test_fallback_is_seed_stable(self, gesture_dataset):
         picks = {
             retrieve_gesture(
-                span("zqxv jkwp mbfg"), gesture_dataset, rng=random.Random(7)
+                span("zqxv jkwp mbfg"), gesture_dataset, rng=random.Random(7),
+                threshold=Config.similarity_threshold
             ).entry.id
             for _ in range(100)
         }
@@ -181,7 +205,8 @@ class TestRetrieval:
     def test_rng_untouched_on_direct_match(self, gesture_dataset):
         rng = random.Random(3)
         before = rng.getstate()
-        retrieve_gesture(span("Hello there."), gesture_dataset, rng=rng)
+        retrieve_gesture(span("Hello there."), gesture_dataset, rng=rng,
+                         threshold=Config.similarity_threshold)
         assert rng.getstate() == before
 
     def test_threshold_one_always_falls_back(self, gesture_dataset):
@@ -199,19 +224,21 @@ class TestRetrieval:
 
     def test_threshold_zero_never_falls_back(self, gesture_dataset):
         match = retrieve_gesture(span("zqxv jkwp mbfg"), gesture_dataset,
-                                 threshold=0.0)
+                                 threshold=0.0, rng=random.Random(0))
         assert not match.fallback
 
     def test_threshold_out_of_range(self, gesture_dataset):
         with pytest.raises(ValueError):
-            retrieve_gesture(span("hi"), gesture_dataset, threshold=1.5)
+            retrieve_gesture(span("hi"), gesture_dataset, threshold=1.5,
+                             rng=random.Random(0))
 
     def test_matches_brute_force_argmax(self, gesture_dataset, embedder):
         queries = ["say hello", "look over there", "amazing news", "I agree",
                    "こんにちは", "wave to the crowd"]
         vectors = embed(queries, embedder)
         for text, vec in zip(queries, vectors):
-            match = retrieve_gesture(span(text), gesture_dataset, threshold=0.0)
+            match = retrieve_gesture(span(text), gesture_dataset, threshold=0.0,
+                                     rng=random.Random(0))
             sims = {
                 e.id: cosine_similarity(vec, e.embedding)
                 for e in gesture_dataset.entries if not e.neutral
@@ -229,7 +256,8 @@ class TestRetrieval:
             for e in gesture_dataset.entries if not e.neutral
         )
         match = retrieve_gesture(span(text), gesture_dataset,
-                                 rng=random.Random(0))
+                                 rng=random.Random(0),
+                                 threshold=Config.similarity_threshold)
         assert match.similarity == pytest.approx(best, abs=1e-9)
 
     @given(st.floats(min_value=0.0, max_value=1.0))
@@ -240,7 +268,8 @@ class TestRetrieval:
             threshold=threshold, rng=random.Random(1),
         )
         direct = retrieve_gesture(
-            span("wave hello to everyone"), gesture_dataset, threshold=0.0
+            span("wave hello to everyone"), gesture_dataset, threshold=0.0,
+            rng=random.Random(0)
         )
         if match.fallback:
             assert direct.similarity < threshold
@@ -283,7 +312,9 @@ def test_duplicate_phrase_ties_to_ascending_id_at_every_row(embedder, dup_id):
 class TestSequence:
     def test_order_and_ordinals(self, gesture_dataset):
         phrases = [span("Hello there.", 0), span("That is wonderful!", 1)]
-        matches = retrieve_sequence(phrases, gesture_dataset)
+        matches = retrieve_sequence(phrases, gesture_dataset,
+                                    threshold=Config.similarity_threshold,
+                                    rng=random.Random(0))
         assert [m.entry.id for m in matches] == ["g_hello", "g_wonderful"]
         assert [m.phrase_ordinal for m in matches] == [0, 1]
 
@@ -294,7 +325,8 @@ class TestSequence:
             return [
                 m.entry.id
                 for m in retrieve_sequence(
-                    phrases, gesture_dataset, rng=random.Random(11)
+                    phrases, gesture_dataset, rng=random.Random(11),
+                    threshold=Config.similarity_threshold
                 )
             ]
 
@@ -309,27 +341,34 @@ class TestSequence:
         picks_mixed = [
             m.entry.id
             for m in retrieve_sequence(mixed, gesture_dataset,
-                                       rng=random.Random(5))
+                                       rng=random.Random(5),
+                                       threshold=Config.similarity_threshold)
             if m.fallback
         ]
         picks_plain = [
             m.entry.id
             for m in retrieve_sequence(only_fallbacks, gesture_dataset,
-                                       rng=random.Random(5))
+                                       rng=random.Random(5),
+                                       threshold=Config.similarity_threshold)
         ]
         assert picks_mixed == picks_plain
 
     def test_empty_sequence(self, gesture_dataset):
-        assert retrieve_sequence([], gesture_dataset) == []
+        assert retrieve_sequence([], gesture_dataset,
+                                 threshold=Config.similarity_threshold,
+                                 rng=random.Random(0)) == []
 
     def test_all_similarities_in_range(self, gesture_dataset):
         phrases = [span(t, i) for i, t in enumerate(
             ["hello", "wow", "zqxv", "look", "見て", "what a day"]
         )]
         for m in retrieve_sequence(phrases, gesture_dataset,
-                                   rng=random.Random(2)):
+                                   rng=random.Random(2),
+                                   threshold=Config.similarity_threshold):
             assert -1.0 <= m.similarity <= 1.0
 
     def test_categories_exposed(self, gesture_dataset):
-        match = retrieve_gesture(span("Hello there."), gesture_dataset)
+        match = retrieve_gesture(span("Hello there."), gesture_dataset,
+                                 threshold=Config.similarity_threshold,
+                                 rng=random.Random(0))
         assert match.entry.category is GestureCategory.GREETING

@@ -1,11 +1,12 @@
-"""canonical_json: float tables encode exactly as their nested-list form."""
+"""canonical_json float tables, and the JSON and JSONL readers."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toonmotion.jsonutil import FORMAT_BLOCK_ROWS, canonical_json
+from toonmotion.errors import MalformedEntry, ValidationError
+from toonmotion.jsonutil import FORMAT_BLOCK_ROWS, canonical_json, iter_jsonl, read_json
 
 from conftest import awkward_floats
 
@@ -70,3 +71,30 @@ class TestNonFiniteTables:
         table[2, 2] = np.nan
         with pytest.raises(ValueError, match=r"JSON output: nan$"):
             canonical_json(table)
+
+
+class TestReaders:
+    def test_jsonl_splits_lines_as_a_text_file_does(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_bytes('{"a": "x\u2028y"}\r\n\n{"a": 2}\r{"a": 3}'.encode("utf-8"))
+        assert list(iter_jsonl(path)) == [
+            (1, {"a": "x\u2028y"}), (3, {"a": 2}), (4, {"a": 3}),
+        ]
+
+    def test_jsonl_invalid_utf8_names_its_line(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(b'{"a": 1}\n{"a": "\xff"}\n')
+        with pytest.raises(MalformedEntry, match="invalid UTF-8 byte 0xff") as info:
+            list(iter_jsonl(path))
+        assert info.value.line == 2
+
+    @pytest.mark.parametrize("data,message", [
+        (b'{"a": \n  [1,', "line 2, col 6: invalid JSON"),
+        (b'{"a":\n "\xff"}', "line 2, col 3: invalid UTF-8 byte 0xff"),
+    ])
+    def test_json_errors_name_file_and_position(self, tmp_path, data, message):
+        path = tmp_path / "d.json"
+        path.write_bytes(data)
+        with pytest.raises(ValidationError, match=message) as info:
+            read_json(path)
+        assert str(info.value).startswith(f"{path}: ")

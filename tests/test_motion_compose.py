@@ -11,9 +11,16 @@ from toonmotion.bvh import GestureClip
 from toonmotion.curves import smoothstep
 from toonmotion.errors import FpsMismatch, SkeletonMismatch, ValidationError
 from toonmotion.motion_compose import retime_to_speech, stitch_clips
-from toonmotion.quat import angle_between, euler_deg_to_quat, normalize, slerp
+from toonmotion.pipeline import Config
+from toonmotion.quat import euler_deg_to_quat, normalize, slerp
 
-from conftest import constant_clip, identity_quats, make_skeleton, max_frame_jump
+from conftest import (
+    angle_between,
+    constant_clip,
+    identity_quats,
+    make_skeleton,
+    max_frame_jump,
+)
 
 
 def z_rotation_quats(n_joints, degrees):
@@ -35,7 +42,7 @@ class TestStitch:
     def test_single_clip_passthrough(self):
         skeleton = make_skeleton(3)
         clip = constant_clip(skeleton, identity_quats(3))
-        track = stitch_clips([clip])
+        track = stitch_clips([clip], blend_s=Config.blend_s)
         assert track.frame_count == clip.frame_count
         np.testing.assert_array_equal(track.rotations, clip.rotations)
 
@@ -43,7 +50,7 @@ class TestStitch:
         skeleton = make_skeleton(2)
         a = constant_clip(skeleton, identity_quats(2), frame_count=31)
         b = constant_clip(skeleton, identity_quats(2), frame_count=46)
-        track = stitch_clips([a, b])
+        track = stitch_clips([a, b], blend_s=Config.blend_s)
         assert track.frame_count == 31 + 46 - 1
 
     def test_identical_constant_clips_stay_constant(self):
@@ -51,7 +58,7 @@ class TestStitch:
         pose = z_rotation_quats(2, 30.0)
         a = constant_clip(skeleton, pose, frame_count=31)
         b = constant_clip(skeleton, pose, frame_count=31)
-        track = stitch_clips([a, b])
+        track = stitch_clips([a, b], blend_s=Config.blend_s)
         assert max_frame_jump(track.rotations) < 1e-9
 
     def test_seam_frame_is_halfway_pose(self):
@@ -103,13 +110,13 @@ class TestStitch:
         for combo in itertools.combinations(ids, 3):
             clips = [gesture_dataset.clip_for(i) for i in combo]
             source_max = max(max_frame_jump(c.rotations) for c in clips)
-            track = stitch_clips(clips)
+            track = stitch_clips(clips, blend_s=Config.blend_s)
             assert max_frame_jump(track.rotations) <= source_max + 1e-6, combo
 
     def test_output_quats_stay_unit(self, gesture_dataset):
         ids = [e.id for e in gesture_dataset.entries][:4]
         clips = [gesture_dataset.clip_for(i) for i in ids]
-        track = stitch_clips(clips)
+        track = stitch_clips(clips, blend_s=Config.blend_s)
         norms = np.linalg.norm(track.rotations, axis=-1)
         assert np.max(np.abs(norms - 1.0)) < 1e-5
 
@@ -117,18 +124,18 @@ class TestStitch:
         a = constant_clip(make_skeleton(2), identity_quats(2))
         b = constant_clip(make_skeleton(3), identity_quats(3))
         with pytest.raises(SkeletonMismatch):
-            stitch_clips([a, b])
+            stitch_clips([a, b], blend_s=Config.blend_s)
 
     def test_fps_mismatch_rejected(self):
         skeleton = make_skeleton(2)
         a = constant_clip(skeleton, identity_quats(2), fps=30)
         b = constant_clip(skeleton, identity_quats(2), fps=24)
         with pytest.raises(FpsMismatch):
-            stitch_clips([a, b])
+            stitch_clips([a, b], blend_s=Config.blend_s)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            stitch_clips([])
+            stitch_clips([], blend_s=Config.blend_s)
 
 
 class TestRetime:

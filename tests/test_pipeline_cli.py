@@ -1,8 +1,10 @@
 """Configuration, end-to-end synthesis and command-line behavior."""
 
+import dataclasses
 import errno
 import json
 import os
+import re
 import shutil
 
 import numpy as np
@@ -58,6 +60,16 @@ class TestConfig:
         assert config.fps == 30.0
         assert config.gesture_dataset.is_file()
         assert config.expression_dataset.is_file()
+
+    def test_readme_lists_the_config_defaults(self):
+        readme = (FIXTURES.parent.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        listed = dict(re.findall(r"`(\w+)`\s+(\d[\d.]*\d|\d)", section))
+        numeric = {f.name for f in dataclasses.fields(Config)
+                   if type(f.default) in (int, float)}
+        assert set(listed) == numeric
+        for key, value in listed.items():
+            assert float(value) == getattr(Config, key), key
 
     def test_relative_paths_resolve_against_config_dir(self):
         config = load_config(CONFIG_PATH)
@@ -656,3 +668,45 @@ def test_malformed_expression_record_reported_with_line(tmp_path, capsys, reader
     err = capsys.readouterr().err
     assert err.startswith("error: line 3:")
     assert not (tmp_path / "out.jsonl").exists()
+
+
+# Each case: the input it breaks and the bytes that input holds. None appends
+# one 0xff byte to the fixture gesture library.
+MALFORMED_JSON_INPUTS = {
+    "phonemes_invalid_json": ("phonemes", b'[{"ph": "a",'),
+    "phonemes_invalid_utf8": ("phonemes", b'[{"ph": "\xff"}]'),
+    "config_invalid_utf8": ("config", b'{"provider_mode": "\xff"}'),
+    "viseme_table_invalid_json": ("viseme_table", b'{"sil": {}'),
+    "viseme_weight_not_a_number": ("viseme_table",
+                                   b'{"sil": {}, "other": {"jawOpen": "x"}}'),
+    "categories_invalid_json": ("emotion_categories", b'["Joy",'),
+    "categories_not_a_list": ("emotion_categories", b"5"),
+    "gestures_invalid_utf8": ("gesture_dataset", None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_JSON_INPUTS))
+def test_malformed_json_input_exits_1(tmp_path, capsys, case):
+    target, data = MALFORMED_JSON_INPUTS[case]
+    bad = tmp_path / "bad.json"
+    overrides, extra = {}, []
+    if data is None:
+        library = tmp_path / "gestures"
+        shutil.copytree(FIXTURES / "gestures", library)
+        bad = library / "gestures.jsonl"
+        data = bad.read_bytes() + b"\xff\n"
+    bad.write_bytes(data)
+    if target == "phonemes":
+        extra = ["--phonemes", str(bad)]
+    elif target != "config":
+        overrides[target] = str(bad)
+    config = bad if target == "config" else write_config(tmp_path / "cfg", **overrides)
+    code = main([
+        "synthesize", "--text", "Hello there.", "--duration", "2.0",
+        "--config", str(config), "--out", str(tmp_path / "o"), *extra,
+    ])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()

@@ -17,6 +17,7 @@ from toonmotion.providers import (
     load_emotion_lexicon,
     packaged_data_path,
 )
+from toonmotion.pipeline import Config
 
 
 class StubResponse:
@@ -136,7 +137,9 @@ class TestReferenceEmbedder:
 class TestHttpEmbeddingProvider:
     def test_success_first_try(self):
         session = StubSession([StubResponse(200, embed_body(["a"]))])
-        provider = HttpEmbeddingProvider("http://x", session=session, backoff_s=0)
+        provider = HttpEmbeddingProvider("http://x", session=session, backoff_s=0,
+                                         timeout_s=Config.timeout_s,
+                                         retries=Config.retries)
         vectors = provider.embed(["a"])
         assert len(vectors) == 1
         assert provider.dim == 4
@@ -151,7 +154,8 @@ class TestHttpEmbeddingProvider:
             StubResponse(200, embed_body(["a"])),
         ])
         provider = HttpEmbeddingProvider(
-            "http://x", session=session, retries=2, backoff_s=0
+            "http://x", session=session, retries=2, backoff_s=0,
+            timeout_s=Config.timeout_s
         )
         assert len(provider.embed(["a"])) == 1
         assert len(session.calls) == 3
@@ -162,14 +166,16 @@ class TestHttpEmbeddingProvider:
             StubResponse(200, embed_body(["a"])),
         ])
         provider = HttpEmbeddingProvider(
-            "http://x", session=session, retries=1, backoff_s=0
+            "http://x", session=session, retries=1, backoff_s=0,
+            timeout_s=Config.timeout_s
         )
         assert len(provider.embed(["a"])) == 1
 
     def test_exhausted_retries_raise(self):
         session = StubSession([StubResponse(500)] * 3)
         provider = HttpEmbeddingProvider(
-            "http://x", session=session, retries=2, backoff_s=0
+            "http://x", session=session, retries=2, backoff_s=0,
+            timeout_s=Config.timeout_s
         )
         with pytest.raises(ProviderUnavailable):
             provider.embed(["a"])
@@ -178,7 +184,8 @@ class TestHttpEmbeddingProvider:
     def test_4xx_fails_without_retry(self):
         session = StubSession([StubResponse(404)])
         provider = HttpEmbeddingProvider(
-            "http://x", session=session, retries=2, backoff_s=0
+            "http://x", session=session, retries=2, backoff_s=0,
+            timeout_s=Config.timeout_s
         )
         with pytest.raises(ProviderUnavailable):
             provider.embed(["a"])
@@ -186,13 +193,17 @@ class TestHttpEmbeddingProvider:
 
     def test_invalid_json_body(self):
         session = StubSession([StubResponse(200, raw="<html>")])
-        provider = HttpEmbeddingProvider("http://x", session=session, backoff_s=0)
+        provider = HttpEmbeddingProvider("http://x", session=session, backoff_s=0,
+                                         timeout_s=Config.timeout_s,
+                                         retries=Config.retries)
         with pytest.raises(ProviderUnavailable):
             provider.embed(["a"])
 
     def test_missing_fields(self):
         session = StubSession([StubResponse(200, {"nope": 1})])
-        provider = HttpEmbeddingProvider("http://x", session=session, backoff_s=0)
+        provider = HttpEmbeddingProvider("http://x", session=session, backoff_s=0,
+                                         timeout_s=Config.timeout_s,
+                                         retries=Config.retries)
         with pytest.raises(ProviderUnavailable):
             provider.embed(["a"])
 
@@ -201,7 +212,9 @@ class TestHttpEmbeddingProvider:
             StubResponse(200, embed_body(["a"], dim=4)),
             StubResponse(200, embed_body(["b"], dim=8)),
         ])
-        provider = HttpEmbeddingProvider("http://x", session=session, backoff_s=0)
+        provider = HttpEmbeddingProvider("http://x", session=session, backoff_s=0,
+                                         timeout_s=Config.timeout_s,
+                                         retries=Config.retries)
         provider.embed(["a"])
         with pytest.raises(DimensionMismatch):
             provider.embed(["b"])
@@ -209,13 +222,17 @@ class TestHttpEmbeddingProvider:
     def test_vector_shape_mismatch(self):
         body = {"vectors": [[1.0, 0.0]], "dim": 4, "model": "stub"}
         session = StubSession([StubResponse(200, body)])
-        provider = HttpEmbeddingProvider("http://x", session=session, backoff_s=0)
+        provider = HttpEmbeddingProvider("http://x", session=session, backoff_s=0,
+                                         timeout_s=Config.timeout_s,
+                                         retries=Config.retries)
         with pytest.raises(DimensionMismatch):
             provider.embed(["a"])
 
     def test_trailing_slash_normalized(self):
         session = StubSession([StubResponse(200, embed_body(["a"]))])
-        provider = HttpEmbeddingProvider("http://x/", session=session, backoff_s=0)
+        provider = HttpEmbeddingProvider("http://x/", session=session, backoff_s=0,
+                                         timeout_s=Config.timeout_s,
+                                         retries=Config.retries)
         provider.embed(["a"])
         assert session.calls[0]["url"] == "http://x/v1/embed"
 
@@ -223,14 +240,18 @@ class TestHttpEmbeddingProvider:
 class TestHttpEmotionProvider:
     def test_success(self):
         session = StubSession([StubResponse(200, {"emotions": {"Joy": 0.8}})])
-        provider = HttpEmotionProvider("http://x", session=session, backoff_s=0)
+        provider = HttpEmotionProvider("http://x", session=session, backoff_s=0,
+                                       timeout_s=Config.timeout_s,
+                                       retries=Config.retries)
         assert provider.infer("yay", "img.png") == {"Joy": 0.8}
         assert session.calls[0]["url"] == "http://x/v1/emotion"
         assert session.calls[0]["json"] == {"text": "yay", "image_ref": "img.png"}
 
     def test_malformed_body(self):
         session = StubSession([StubResponse(200, {"emotions": [1, 2]})])
-        provider = HttpEmotionProvider("http://x", session=session, backoff_s=0)
+        provider = HttpEmotionProvider("http://x", session=session, backoff_s=0,
+                                       timeout_s=Config.timeout_s,
+                                       retries=Config.retries)
         with pytest.raises(ProviderUnavailable):
             provider.infer("yay")
 
@@ -238,14 +259,17 @@ class TestHttpEmotionProvider:
 class TestFallbackEmotionProvider:
     def test_uses_primary_when_healthy(self):
         session = StubSession([StubResponse(200, {"emotions": {"Awe": 0.9}})])
-        primary = HttpEmotionProvider("http://x", session=session, backoff_s=0)
+        primary = HttpEmotionProvider("http://x", session=session, backoff_s=0,
+                                      timeout_s=Config.timeout_s,
+                                      retries=Config.retries)
         provider = FallbackEmotionProvider(primary, LexiconEmotionProvider())
         assert provider.infer("wonderful") == {"Awe": 0.9}
 
     def test_falls_back_when_unreachable(self):
         session = StubSession([StubResponse(500)] * 3)
         primary = HttpEmotionProvider(
-            "http://x", session=session, retries=2, backoff_s=0
+            "http://x", session=session, retries=2, backoff_s=0,
+            timeout_s=Config.timeout_s
         )
         provider = FallbackEmotionProvider(primary, LexiconEmotionProvider())
         assert provider.infer("That is wonderful") == {"Joy": 0.8}

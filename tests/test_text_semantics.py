@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from toonmotion.errors import DimensionMismatch
 from toonmotion.text_semantics import (
-    DEFAULT_MAX_PHRASE_CHARS,
+    MAX_PHRASE_CHARS,
     REFERENCE_DIM,
     PhraseSpan,
     cosine_similarity,
@@ -52,7 +52,7 @@ class TestSegmentation:
         text = "word " * 20  # 100 chars, no sentence delimiters
         spans = segment_phrases(text)
         assert len(spans) > 1
-        assert all(len(s.text) <= DEFAULT_MAX_PHRASE_CHARS for s in spans)
+        assert all(len(s.text) <= MAX_PHRASE_CHARS for s in spans)
 
     def test_spans_reference_source_offsets(self):
         text = "Hi there. Bye now."
@@ -76,7 +76,7 @@ class TestSegmentation:
     @settings(max_examples=150, deadline=None)
     def test_phrases_respect_max_length(self, text):
         for span in segment_phrases(text):
-            assert 0 < len(span.text) <= DEFAULT_MAX_PHRASE_CHARS
+            assert 0 < len(span.text) <= MAX_PHRASE_CHARS
 
 
 class TestReferenceEmbed:
