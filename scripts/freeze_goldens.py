@@ -46,6 +46,10 @@ BUNDLE_REQUESTS = {
             "seed": 1, "phonemes": None},
     "overlay_eyes": {"text": "Wow, I cannot believe it, amazing!", "duration": 3.0,
                      "seed": 5, "phonemes": "phonemes_wow.json"},
+    # Overlay eyes are on from half the transition: the seed draws three
+    # blinks, and every one of them is dropped.
+    "overlay_blinks": {"text": "Wow, I cannot believe it, amazing!",
+                       "duration": 8.0, "seed": 6, "phonemes": None},
     # Retiming clamps the time scale at 2: the motion ends early and the
     # final pose is held to the end of the speech.
     "hold": {"text": "Hello there.", "duration": 6.0, "seed": 2, "phonemes": None},
