@@ -78,10 +78,9 @@ def freeze_reference_embedding():
 
 
 def freeze_blink_onsets():
-    blinks = schedule_blinks(10.0, random.Random(42),
+    onsets = schedule_blinks(10.0, random.Random(42),
                              mean_gap_s=Config.blink_mean_gap_s,
                              min_gap_s=Config.blink_min_gap_s)
-    onsets = [b.onset_s for b in blinks]
 
     # Independent re-derivation of the documented sampling contract.
     rng = random.Random(42)

@@ -19,11 +19,10 @@ from .expression_dataset import (
     annotate_emotion,
     build_dataset,
     check_expression_records,
-    parse_expression_record,
     write_expression_dataset,
 )
 from .gesture_retrieval import load_gesture_dataset, retrieve_text
-from .jsonutil import atomic_write_text, canonical_json, iter_jsonl
+from .jsonutil import atomic_write_text, canonical_json
 from .pipeline import (
     DialogueRequest,
     load_config,
@@ -124,9 +123,9 @@ def _cmd_build_expressions(args) -> int:
 
 def _cmd_annotate_emotions(args) -> int:
     provider, categories = _emotion_annotator(args.config)
+    # Violations are not checked: the emotions are about to be replaced.
     entries = [
-        parse_expression_record(raw, line_no)
-        for line_no, raw in iter_jsonl(args.dataset)
+        entry for _, entry, _ in check_expression_records(args.dataset, categories)
     ]
     for entry in entries:
         annotate_emotion(entry, provider, categories)
@@ -143,7 +142,9 @@ def _cmd_validate_dataset(args) -> int:
         return 0
     violations = [
         f"{entry.id}: {issue}"
-        for _, entry, issues in check_expression_records(args.path)
+        for _, entry, issues in check_expression_records(
+            args.path, load_emotion_categories()
+        )
         for issue in issues
     ]
     print(canonical_json({"violations": violations}))

@@ -7,6 +7,8 @@ unreachable providers).
 
 from __future__ import annotations
 
+from pathlib import Path
+
 
 class ToonmotionError(Exception):
     """Base class for all package errors."""
@@ -31,15 +33,24 @@ class DimensionMismatch(ProviderError):
 class MalformedEntry(ValidationError):
     """A dataset record is invalid.
 
-    Carries the 1-based line number and the offending field when known.
+    Carries the dataset file, the 1-based line number and the offending
+    field when known; a loader that catches the error may fill in ``file``.
     """
 
-    def __init__(self, message: str, line: int | None = None, field: str | None = None):
+    def __init__(self, message: str, line: int | None = None, field: str | None = None,
+                 file: str | Path | None = None):
+        super().__init__(message)
+        self.message = message
         self.line = line
         self.field = field
-        where = f"line {line}: " if line is not None else ""
-        what = f" (field: {field})" if field else ""
-        super().__init__(f"{where}{message}{what}")
+        self.file = file
+
+    def __str__(self) -> str:
+        where = f"{self.file}: " if self.file is not None else ""
+        if self.line is not None:
+            where += f"line {self.line}: "
+        what = f" (field: {self.field})" if self.field else ""
+        return f"{where}{self.message}{what}"
 
 
 class NoNeutralGesture(ValidationError):
@@ -96,7 +107,7 @@ class OverlappingPhonemes(ValidationError):
 
 
 class DurationMismatch(ValidationError):
-    """Face-track layers do not agree on duration or frame rate."""
+    """A phoneme timeline runs past the end of the speech."""
 
 
 class ConfigError(ValidationError):

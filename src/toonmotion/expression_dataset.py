@@ -14,7 +14,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
+from typing import Collection, Iterator
 
 import numpy as np
 
@@ -346,9 +346,14 @@ def fuse_sources(
     return shapes
 
 
+def has_overlay_eyes(shapes: dict[str, float]) -> bool:
+    """Whether circle or angle eyes replace the regular eyelids."""
+    return shapes.get("circleEyes", 0.0) > 0.0 or shapes.get("angleEyes", 0.0) > 0.0
+
+
 def repair_exclusivity(shapes: dict[str, float]):
     """Circle/angle eye overlays replace the regular eyelid channels."""
-    if shapes.get("circleEyes", 0.0) > 0.0 or shapes.get("angleEyes", 0.0) > 0.0:
+    if has_overlay_eyes(shapes):
         for name in EYELID_CHANNELS:
             shapes[name] = 0.0
 
@@ -519,9 +524,12 @@ def write_expression_dataset(path: str | Path, entries: list[ExpressionEntry]) -
     atomic_write_text(path, text)
 
 
-def validate_entry(entry: ExpressionEntry,
-                   categories: list[str] | None = None) -> list[str]:
-    """Every invariant violation in one list; empty means valid."""
+def validate_entry(entry: ExpressionEntry, categories: Collection[str]) -> list[str]:
+    """Every invariant violation in one list; empty means valid.
+
+    Emotion names are checked against *categories*; pass a set when
+    validating many entries.
+    """
     violations: list[str] = []
     shapes = entry.blendshapes
     for name in shapes:
@@ -534,7 +542,7 @@ def validate_entry(entry: ExpressionEntry,
         value = shapes[name]
         if not np.isfinite(value) or not 0.0 <= value <= 1.0:
             violations.append(f"range violation on {name!r}: {value}")
-    if shapes.get("circleEyes", 0.0) > 0.0 or shapes.get("angleEyes", 0.0) > 0.0:
+    if has_overlay_eyes(shapes):
         for name in EYELID_CHANNELS:
             if shapes.get(name, 0.0) != 0.0:
                 violations.append(f"exclusivity violation: {name!r} with overlay eyes")
@@ -543,7 +551,7 @@ def validate_entry(entry: ExpressionEntry,
     for name, value in entry.emotions.items():
         if not np.isfinite(value) or not 0.0 < value <= 1.0:
             violations.append(f"emotion intensity out of (0,1] for {name!r}: {value}")
-        if categories is not None and name not in categories:
+        if name not in categories:
             violations.append(f"emotion category {name!r} not in configured list")
     if len(entry.emotions) > MAX_EMOTIONS_PER_ENTRY:
         violations.append("more than 8 emotion categories")
@@ -584,26 +592,36 @@ def parse_expression_record(raw: dict, line_no: int | None = None) -> Expression
 
 def check_expression_records(
     path: str | Path,
+    categories: Collection[str],
 ) -> Iterator[tuple[int, ExpressionEntry, list[str]]]:
     """Yield ``(line_no, entry, violations)`` for each record of an expression
-    JSONL file; structural errors raise :class:`MalformedEntry`."""
+    JSONL file, checking emotion names against *categories*; structural
+    errors raise :class:`MalformedEntry` naming the file and line."""
+    known = frozenset(categories)
     seen: set[str] = set()
     for line_no, raw in iter_jsonl(path):
-        entry = parse_expression_record(raw, line_no)
-        violations = validate_entry(entry)
+        try:
+            entry = parse_expression_record(raw, line_no)
+        except MalformedEntry as exc:
+            exc.file = path
+            raise
+        violations = validate_entry(entry, known)
         if entry.id in seen:
             violations.insert(0, "duplicate id")
         seen.add(entry.id)
         yield line_no, entry, violations
 
 
-def load_expression_dataset(path: str | Path) -> list[ExpressionEntry]:
+def load_expression_dataset(
+    path: str | Path, categories: Collection[str]
+) -> list[ExpressionEntry]:
     """Read an expression JSONL file, failing on the first invalid entry."""
     entries: list[ExpressionEntry] = []
-    for line_no, entry, violations in check_expression_records(path):
+    for line_no, entry, violations in check_expression_records(path, categories):
         if violations:
             raise MalformedEntry(
-                f"invalid entry {entry.id!r}: {violations[0]}", line=line_no
+                f"invalid entry {entry.id!r}: {violations[0]}", line=line_no,
+                file=path,
             )
         entries.append(entry)
     return entries

@@ -18,7 +18,6 @@ import numpy as np
 
 from .curves import smoothstep
 from .errors import (
-    DurationMismatch,
     EmptyDataset,
     OverlappingPhonemes,
     ValidationError,
@@ -29,6 +28,7 @@ from .expression_dataset import (
     EYELID_CHANNELS,
     MOUTH_CHANNELS,
     ExpressionEntry,
+    has_overlay_eyes,
     restrict_emotion_response,
 )
 from .jsonutil import read_json
@@ -199,34 +199,22 @@ def load_viseme_table(path: str | Path | None = None) -> dict[str, dict[str, flo
     return table
 
 
-@dataclass
-class LipsyncResult:
-    """Viseme channel values plus the voicing envelope used for blending."""
-
-    fps: float
-    values: np.ndarray
-    voicing: np.ndarray
-    source: str
-
-
 def lipsync_track(
     phonemes: list[PhonemeEvent],
     fps: float,
-    duration_s: float,
+    times: np.ndarray,
     viseme_table: dict[str, dict[str, float]],
-    source: str,
-) -> LipsyncResult:
-    """Rasterize phoneme events to per-frame viseme weights.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rasterize phoneme events onto the frame times ``arange(n) / fps``.
 
-    Every event contributes a trapezoid envelope (60 ms smoothstep rise and
-    fall); concurrent contributions combine per channel by max. The voicing
+    Returns per-frame viseme weights and the voicing envelope. Every event
+    contributes a trapezoid envelope (60 ms smoothstep rise and fall);
+    concurrent contributions combine per channel by max. The voicing
     envelope is the same max over non-silent events and drives how strongly
     lip-sync replaces the base expression's mouth.
     """
     validate_phonemes(phonemes)
-    frame_count = int(round(duration_s * fps)) + 1
-    times = np.arange(frame_count) / fps
-
+    frame_count = times.shape[0]
     values = np.zeros((frame_count, len(CHANNEL_REGISTRY)))
     voicing = np.zeros(frame_count)
     for ev in phonemes:
@@ -247,8 +235,7 @@ def lipsync_track(
             values[lo:hi, idx] = np.maximum(
                 values[lo:hi, idx], envelope * float(weight)
             )
-
-    return LipsyncResult(fps=fps, values=values, voicing=voicing, source=source)
+    return values, voicing
 
 
 def infer_dialogue_emotion(
@@ -283,81 +270,18 @@ def retrieve_expression(
     return best_entry, best_sim
 
 
-@dataclass
-class TransitionCurve:
-    """Per-channel interpolation plan over [t0, t0 + dur].
-
-    Regular channels follow a smoothstep; exaggeration overlays are binary
-    and snap at the midpoint.
-    """
-
-    start_vec: np.ndarray
-    end_vec: np.ndarray
-    t0: float
-    dur: float
-
-    def values(self, times: np.ndarray) -> np.ndarray:
-        u = np.clip((np.asarray(times, dtype=np.float64) - self.t0) / self.dur, 0.0, 1.0)
-        w_smooth = smoothstep(u)
-        w_snap = (u >= 0.5).astype(np.float64)
-        weights = np.where(_EXAGGERATION_MASK[np.newaxis, :],
-                           w_snap[:, np.newaxis],
-                           w_smooth[:, np.newaxis])
-        return self.start_vec[np.newaxis, :] + (
-            (self.end_vec - self.start_vec)[np.newaxis, :] * weights
-        )
-
-    def at(self, t: float) -> np.ndarray:
-        return self.values(np.array([t]))[0]
-
-
-def plan_transition(
-    from_shapes: dict[str, float],
-    to_shapes: dict[str, float],
-    t0: float,
-    dur: float,
-) -> TransitionCurve:
-    if dur <= 0:
-        raise ValidationError("transition duration must be positive")
-    return TransitionCurve(
-        start_vec=shapes_to_vector(from_shapes),
-        end_vec=shapes_to_vector(to_shapes),
-        t0=t0,
-        dur=dur,
-    )
-
-
-@dataclass(frozen=True)
-class BlinkEnvelope:
-    onset_s: float
-
-    def values(self, times: np.ndarray) -> np.ndarray:
-        t = np.asarray(times, dtype=np.float64) - self.onset_s
-        closing = smoothstep(t / BLINK_CLOSE_S)
-        opening = 1.0 - smoothstep(
-            (t - BLINK_CLOSE_S - BLINK_HOLD_S) / BLINK_OPEN_S
-        )
-        inside = (t >= 0.0) & (t <= BLINK_TOTAL_S)
-        return np.where(inside, np.minimum(closing, opening), 0.0)
-
-    def overlaps(self, span: tuple[float, float]) -> bool:
-        s0, s1 = span
-        return self.onset_s < s1 and self.onset_s + BLINK_TOTAL_S > s0
-
-
 def schedule_blinks(
     duration_s: float,
     rng: random.Random,
-    suppressed_spans: list[tuple[float, float]] | None = None,
     *,
     mean_gap_s: float,
     min_gap_s: float,
-) -> list[BlinkEnvelope]:
-    """Seeded blink schedule: exponential gaps, whole envelopes only.
+) -> list[float]:
+    """Seeded blink onsets: exponential gaps, whole blinks only.
 
-    The full schedule is always sampled first and suppressed blinks dropped
-    afterwards, so the generator consumption (hence every later draw) does
-    not depend on the suppression spans.
+    The full schedule is always drawn; :func:`compose_face_track` drops the
+    blinks that overlay eyes hide, so the generator consumption (hence every
+    later draw) does not depend on the expression.
     """
     if duration_s <= 0:
         raise ValidationError("duration must be positive")
@@ -370,10 +294,7 @@ def schedule_blinks(
             break
         onsets.append(onset)
         t = onset + BLINK_TOTAL_S
-    blinks = [BlinkEnvelope(o) for o in onsets]
-    for span in suppressed_spans or []:
-        blinks = [b for b in blinks if not b.overlaps(span)]
-    return blinks
+    return onsets
 
 
 @dataclass
@@ -400,59 +321,73 @@ class FaceTrack:
 
 def compose_face_track(
     expression: ExpressionEntry,
-    transition: TransitionCurve | None,
-    blinks: list[BlinkEnvelope],
-    lipsync: LipsyncResult | None,
+    phonemes: list[PhonemeEvent],
+    blink_onsets: list[float],
     duration_s: float,
+    *,
     fps: float,
+    transition_s: float,
+    viseme_table: dict[str, dict[str, float]],
+    lipsync_source: str,
 ) -> FaceTrack:
-    """Layer expression, lip-sync and blinks into the final track.
+    """Layer expression, lip-sync and blinks on the frames ``arange(n) / fps``.
 
-    Layering order: transition-curved base expression, then lip-sync blends
-    into the mouth group scaled by the voicing envelope (alpha 0.8 when
-    fully voiced), then blinks max-combine with the eyelids. Exaggeration
-    exclusivity is re-applied per frame before the final clamp.
+    Layering order: the expression eased in from the neutral face over
+    *transition_s* (regular channels by smoothstep, exaggeration overlays
+    snapping on at the midpoint), then lip-sync blends into the mouth group
+    scaled by the voicing envelope (alpha 0.8 when fully voiced), then
+    blinks max-combine with the eyelids. Circle/angle overlay eyes, once
+    snapped on, zero the eyelid channels and drop every blink that would
+    overlap them. The result is clamped to [0, 1].
     """
     if duration_s <= 0:
         raise ValidationError("duration must be positive")
+    if transition_s <= 0:
+        raise ValidationError("transition duration must be positive")
     frame_count = int(round(duration_s * fps)) + 1
     times = np.arange(frame_count) / fps
 
-    if transition is not None:
-        base = transition.values(times)
-    else:
-        base = np.tile(shapes_to_vector(expression.blendshapes), (frame_count, 1))
+    u = np.clip(times / transition_s, 0.0, 1.0)
+    snapped = u >= 0.5
+    weights = np.where(_EXAGGERATION_MASK[np.newaxis, :],
+                       snapped.astype(np.float64)[:, np.newaxis],
+                       smoothstep(u)[:, np.newaxis])
+    # The neutral start stays in the sum: 0.0 + (-0.0 * w) is +0.0, so a
+    # -0.0 weight never prints as "-0.000000".
+    base = 0.0 + shapes_to_vector(expression.blendshapes)[np.newaxis, :] * weights
 
-    if lipsync is not None:
-        if abs(lipsync.fps - fps) > 1e-9 * max(fps, 1.0):
-            raise DurationMismatch(
-                f"lipsync fps {lipsync.fps} does not match track fps {fps}"
-            )
-        if lipsync.values.shape[0] != frame_count:
-            raise DurationMismatch(
-                f"lipsync covers {lipsync.values.shape[0]} frames, track has "
-                f"{frame_count}"
-            )
-        alpha = LIPSYNC_ALPHA * lipsync.voicing
-        base[:, _MOUTH_IDX] = (
-            (1.0 - alpha)[:, np.newaxis] * base[:, _MOUTH_IDX]
-            + LIPSYNC_ALPHA * lipsync.values[:, _MOUTH_IDX]
-        )
+    values, voicing = lipsync_track(phonemes, fps, times, viseme_table)
+    alpha = LIPSYNC_ALPHA * voicing
+    base[:, _MOUTH_IDX] = (
+        (1.0 - alpha)[:, np.newaxis] * base[:, _MOUTH_IDX]
+        + LIPSYNC_ALPHA * values[:, _MOUTH_IDX]
+    )
 
-    if blinks:
+    overlay_eyes = has_overlay_eyes(expression.blendshapes)
+    if overlay_eyes:
+        overlay_on_s = transition_s / 2.0
+        blink_onsets = [
+            onset for onset in blink_onsets
+            if not (onset < duration_s and onset + BLINK_TOTAL_S > overlay_on_s)
+        ]
+    if blink_onsets:
         blink_curve = np.zeros(frame_count)
-        for blink in blinks:
-            blink_curve = np.maximum(blink_curve, blink.values(times))
+        for onset in blink_onsets:
+            t = times - onset
+            closing = smoothstep(t / BLINK_CLOSE_S)
+            opening = 1.0 - smoothstep(
+                (t - BLINK_CLOSE_S - BLINK_HOLD_S) / BLINK_OPEN_S
+            )
+            inside = (t >= 0.0) & (t <= BLINK_TOTAL_S)
+            blink_curve = np.maximum(
+                blink_curve, np.where(inside, np.minimum(closing, opening), 0.0)
+            )
         for name in ("eyeBlinkL", "eyeBlinkR"):
             idx = _CHANNEL_INDEX[name]
             base[:, idx] = np.maximum(base[:, idx], blink_curve)
 
-    overlay = np.maximum(
-        base[:, _CHANNEL_INDEX["circleEyes"]], base[:, _CHANNEL_INDEX["angleEyes"]]
-    )
-    suppressed = overlay > 0.0
-    for idx in _EYELID_IDX:
-        base[suppressed, idx] = 0.0
+    if overlay_eyes:
+        base[np.ix_(snapped, _EYELID_IDX)] = 0.0
 
     np.clip(base, 0.0, 1.0, out=base)
     return FaceTrack(
@@ -460,7 +395,7 @@ def compose_face_track(
         frames=base,
         provenance={
             "expression_id": expression.id,
-            "blink_onsets": [round(b.onset_s, 6) for b in blinks],
-            "lipsync_source": lipsync.source if lipsync is not None else "none",
+            "blink_onsets": [round(onset, 6) for onset in blink_onsets],
+            "lipsync_source": lipsync_source,
         },
     )

@@ -113,63 +113,68 @@ def load_gesture_dataset(path: str | Path, embedder) -> GestureDataset:
     seen_ids: set[str] = set()
     parsed: list[GestureEntry] = []
     clips: dict[str, GestureClip] = {}
-    for line_no, raw in records:
-        entry_id = _require(raw, "id", str, line_no)
-        if not entry_id:
-            raise MalformedEntry("empty id", line=line_no, field="id")
-        if entry_id in seen_ids:
-            raise MalformedEntry(f"duplicate id {entry_id!r}", line=line_no, field="id")
-        seen_ids.add(entry_id)
+    try:
+        for line_no, raw in records:
+            entry_id = _require(raw, "id", str, line_no)
+            if not entry_id:
+                raise MalformedEntry("empty id", line=line_no, field="id")
+            if entry_id in seen_ids:
+                raise MalformedEntry(f"duplicate id {entry_id!r}", line=line_no,
+                                     field="id")
+            seen_ids.add(entry_id)
 
-        phrase = _require(raw, "phrase", str, line_no)
-        if not phrase:
-            raise MalformedEntry("empty phrase", line=line_no, field="phrase")
+            phrase = _require(raw, "phrase", str, line_no)
+            if not phrase:
+                raise MalformedEntry("empty phrase", line=line_no, field="phrase")
 
-        category_raw = _require(raw, "category", str, line_no)
-        try:
-            category = GestureCategory(category_raw)
-        except ValueError:
-            raise MalformedEntry(
-                f"unknown category {category_raw!r}", line=line_no, field="category"
-            ) from None
+            category_raw = _require(raw, "category", str, line_no)
+            try:
+                category = GestureCategory(category_raw)
+            except ValueError:
+                raise MalformedEntry(
+                    f"unknown category {category_raw!r}", line=line_no, field="category"
+                ) from None
 
-        neutral = _require(raw, "neutral", bool, line_no)
-        if neutral != (category is GestureCategory.NEUTRAL):
-            raise MalformedEntry(
-                "neutral flag must match the neutral category",
-                line=line_no,
-                field="neutral",
+            neutral = _require(raw, "neutral", bool, line_no)
+            if neutral != (category is GestureCategory.NEUTRAL):
+                raise MalformedEntry(
+                    "neutral flag must match the neutral category",
+                    line=line_no,
+                    field="neutral",
+                )
+
+            clip_rel = _require(raw, "clip", str, line_no)
+            duration_s = _require(raw, "duration_s", float, line_no)
+            if duration_s <= 0:
+                raise MalformedEntry(
+                    "duration_s must be positive", line=line_no, field="duration_s"
+                )
+
+            clip_path = base / clip_rel
+            if not clip_path.is_file():
+                raise MissingClip(f"clip file not found for {entry_id!r}: {clip_path}")
+            clip = parse_bvh(clip_path.read_bytes(), source_id=entry_id)
+            if not abs(duration_s - clip.duration_s) <= 0.5 / clip.fps:
+                raise MalformedEntry(
+                    f"duration_s {duration_s} differs from the clip's "
+                    f"{clip.duration_s:.6f} s by more than half a frame",
+                    line=line_no, field="duration_s",
+                )
+            clips[entry_id] = clip
+
+            parsed.append(
+                GestureEntry(
+                    id=entry_id,
+                    phrase=phrase,
+                    embedding=np.zeros(0),
+                    category=category,
+                    neutral=neutral,
+                    duration_s=duration_s,
+                )
             )
-
-        clip_rel = _require(raw, "clip", str, line_no)
-        duration_s = _require(raw, "duration_s", float, line_no)
-        if duration_s <= 0:
-            raise MalformedEntry(
-                "duration_s must be positive", line=line_no, field="duration_s"
-            )
-
-        clip_path = base / clip_rel
-        if not clip_path.is_file():
-            raise MissingClip(f"clip file not found for {entry_id!r}: {clip_path}")
-        clip = parse_bvh(clip_path.read_bytes(), source_id=entry_id)
-        if not abs(duration_s - clip.duration_s) <= 0.5 / clip.fps:
-            raise MalformedEntry(
-                f"duration_s {duration_s} differs from the clip's "
-                f"{clip.duration_s:.6f} s by more than half a frame",
-                line=line_no, field="duration_s",
-            )
-        clips[entry_id] = clip
-
-        parsed.append(
-            GestureEntry(
-                id=entry_id,
-                phrase=phrase,
-                embedding=np.zeros(0),
-                category=category,
-                neutral=neutral,
-                duration_s=duration_s,
-            )
-        )
+    except MalformedEntry as exc:
+        exc.file = path
+        raise
 
     if not any(e.neutral for e in parsed):
         raise NoNeutralGesture(f"dataset {path} has no neutral gesture entry")

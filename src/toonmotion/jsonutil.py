@@ -136,10 +136,10 @@ def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
 
     Line numbers are 1-based and lines split as a text-mode file splits
     them. Undecodable bytes, invalid JSON and lines that are not JSON
-    objects raise :class:`MalformedEntry` carrying the line number.
+    objects raise :class:`MalformedEntry` naming the file and line.
     """
     def fail(message: str, line: int, column: int) -> Exception:
-        return MalformedEntry(f"{message} at col {column}", line=line)
+        return MalformedEntry(f"{message} at col {column}", line=line, file=path)
 
     text = decode_utf8(Path(path).read_bytes(), fail)
     for line_no, line in enumerate(io.StringIO(text, newline=None), start=1):
@@ -149,9 +149,11 @@ def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
         try:
             raw = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise MalformedEntry(f"invalid JSON: {exc}", line=line_no) from exc
+            raise MalformedEntry(f"invalid JSON: {exc}", line=line_no,
+                                 file=path) from exc
         if not isinstance(raw, dict):
-            raise MalformedEntry("entry must be a JSON object", line=line_no)
+            raise MalformedEntry("entry must be a JSON object", line=line_no,
+                                 file=path)
         yield line_no, raw
 
 

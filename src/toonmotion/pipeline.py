@@ -22,10 +22,8 @@ from .face_engine import (
     compose_face_track,
     fallback_phonemes,
     infer_dialogue_emotion,
-    lipsync_track,
     load_phoneme_file,
     load_viseme_table,
-    plan_transition,
     retrieve_expression,
     schedule_blinks,
 )
@@ -244,7 +242,7 @@ def synthesize(
 
     categories = load_emotion_categories(config.emotion_categories)
     gestures = load_gesture_dataset(config.gesture_dataset, embedder)
-    expressions = load_expression_dataset(config.expression_dataset)
+    expressions = load_expression_dataset(config.expression_dataset, categories)
     viseme_table = load_viseme_table(config.viseme_table)
 
     rng = random.Random(request.seed)
@@ -273,37 +271,21 @@ def synthesize(
         phonemes = fallback_phonemes(request.text, request.speech_duration_s)
         lipsync_source = "fallback"
 
-    transition = plan_transition(
-        {}, expression.blendshapes, t0=0.0, dur=config.transition_s
-    )
-    suppressed = []
-    if (
-        expression.blendshapes.get("circleEyes", 0.0) > 0.0
-        or expression.blendshapes.get("angleEyes", 0.0) > 0.0
-    ):
-        # Overlay eyes snap on at the transition midpoint and stay active.
-        suppressed.append((config.transition_s / 2.0, request.speech_duration_s))
-    blinks = schedule_blinks(
+    blink_onsets = schedule_blinks(
         request.speech_duration_s,
         rng,
-        suppressed,
         mean_gap_s=config.blink_mean_gap_s,
         min_gap_s=config.blink_min_gap_s,
     )
-    lipsync = lipsync_track(
-        phonemes,
-        config.fps,
-        duration_s=request.speech_duration_s,
-        viseme_table=viseme_table,
-        source=lipsync_source,
-    )
     face = compose_face_track(
         expression,
-        transition,
-        blinks,
-        lipsync,
+        phonemes,
+        blink_onsets,
         request.speech_duration_s,
-        config.fps,
+        fps=config.fps,
+        transition_s=config.transition_s,
+        viseme_table=viseme_table,
+        lipsync_source=lipsync_source,
     )
 
     manifest = {

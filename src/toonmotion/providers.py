@@ -14,6 +14,7 @@ ProviderUnavailable once retries are exhausted.
 from __future__ import annotations
 
 import logging
+import math
 import re
 import time
 from importlib import resources
@@ -158,7 +159,7 @@ class HttpEmbeddingProvider(_HttpClient):
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
         body = self._post("/v1/embed", {"texts": list(texts)})
         try:
-            vectors = body["vectors"]
+            vectors = list(body["vectors"])
             dim = int(body["dim"])
             self.model = str(body.get("model", self.model))
         except (KeyError, TypeError, ValueError) as exc:
@@ -169,11 +170,16 @@ class HttpEmbeddingProvider(_HttpClient):
             raise DimensionMismatch(f"provider dim changed from {self.dim} to {dim}")
         out = []
         for vec in vectors:
-            arr = np.asarray(vec, dtype=np.float64)
+            try:
+                arr = np.asarray(vec, dtype=np.float64)
+            except (TypeError, ValueError) as exc:
+                raise ProviderUnavailable(f"malformed embed vector: {exc}") from exc
             if arr.shape != (dim,):
                 raise DimensionMismatch(
                     f"vector shape {arr.shape} does not match declared dim {dim}"
                 )
+            if not np.isfinite(arr).all():
+                raise ProviderUnavailable("malformed embed vector: non-finite value")
             out.append(arr)
         return out
 
@@ -183,10 +189,16 @@ class HttpEmotionProvider(_HttpClient):
 
     def infer(self, text: str, image_ref: str | None = None) -> dict[str, float]:
         body = self._post("/v1/emotion", {"text": text, "image_ref": image_ref})
-        emotions = body.get("emotions")
+        emotions = body.get("emotions") if isinstance(body, dict) else None
         if not isinstance(emotions, dict):
             raise ProviderUnavailable("malformed emotion response: missing 'emotions'")
-        return {str(k): float(v) for k, v in emotions.items()}
+        try:
+            out = {str(k): float(v) for k, v in emotions.items()}
+        except (TypeError, ValueError) as exc:
+            raise ProviderUnavailable(f"malformed emotion response: {exc}") from exc
+        if not all(math.isfinite(v) for v in out.values()):
+            raise ProviderUnavailable("malformed emotion response: non-finite value")
+        return out
 
 
 class FallbackEmotionProvider:

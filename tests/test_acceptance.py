@@ -20,11 +20,9 @@ from toonmotion.expression_dataset import (
     empty_blendshapes,
 )
 from toonmotion.face_engine import (
-    BlinkEnvelope,
     compose_face_track,
     fallback_phonemes,
     infer_dialogue_emotion,
-    lipsync_track,
     load_viseme_table,
     retrieve_expression,
     schedule_blinks,
@@ -209,6 +207,7 @@ class TestAcceptance:
 
     def test_7_layering_stays_in_range(self):
         rng = random.Random(2024)
+        viseme_table = load_viseme_table()
         channel_names = list(empty_blendshapes())
         frames_checked = 0
         tracks = 0
@@ -219,17 +218,15 @@ class TestAcceptance:
                 shapes[name] = rng.random()
             entry = ExpressionEntry(f"e{tracks}", shapes, {"Joy": 1.0}, {})
             text = rng.choice(["wow amazing", "hello there", "こんにちは", ""])
-            lipsync = lipsync_track(
-                fallback_phonemes(text, duration), 30.0, duration_s=duration,
-                viseme_table=load_viseme_table(), source="file"
-            )
             blinks = schedule_blinks(duration, rng,
                                      mean_gap_s=Config.blink_mean_gap_s,
                                      min_gap_s=Config.blink_min_gap_s)
             if rng.random() < 0.3:
-                blinks = blinks + [BlinkEnvelope(rng.uniform(0, duration))]
+                blinks = blinks + [rng.uniform(0, duration)]
             track = compose_face_track(
-                entry, None, blinks, lipsync, duration, 30.0
+                entry, fallback_phonemes(text, duration), blinks, duration,
+                fps=30.0, transition_s=Config.transition_s,
+                viseme_table=viseme_table, lipsync_source="file",
             )
             assert np.all(track.frames >= 0.0)
             assert np.all(track.frames <= 1.0)

@@ -38,6 +38,8 @@ from toonmotion.providers import LexiconEmotionProvider, load_emotion_categories
 
 from conftest import FIXTURES
 
+CATEGORIES = frozenset(load_emotion_categories())
+
 
 def base_points():
     """Calibrated face: level mouth corners, relaxed brows, open eyes.
@@ -444,7 +446,7 @@ class TestBuild:
             FIXTURES / "expression_sources", LexiconEmotionProvider(), out,
             categories=load_emotion_categories()
         )
-        loaded = load_expression_dataset(out)
+        loaded = load_expression_dataset(out, load_emotion_categories())
         assert [e.id for e in loaded] == [e.id for e in entries]
         # Serialization rounds to 6 decimals.
         for built, back in zip(entries, loaded):
@@ -503,46 +505,46 @@ class TestValidateEntry:
         )
 
     def test_valid_entry_passes(self):
-        assert validate_entry(self.valid_entry()) == []
+        assert validate_entry(self.valid_entry(), CATEGORIES) == []
 
     def test_unknown_channel(self):
         entry = self.valid_entry()
         entry.blendshapes["eyebrowWiggle"] = 0.5
-        assert any("unknown channel" in v for v in validate_entry(entry))
+        assert any("unknown channel" in v for v in validate_entry(entry, CATEGORIES))
 
     def test_missing_channel(self):
         entry = self.valid_entry()
         del entry.blendshapes["jawOpen"]
-        assert any("missing channel" in v for v in validate_entry(entry))
+        assert any("missing channel" in v for v in validate_entry(entry, CATEGORIES))
 
     def test_range_violation(self):
         entry = self.valid_entry()
         entry.blendshapes["jawOpen"] = 1.2
-        assert any("range violation" in v for v in validate_entry(entry))
+        assert any("range violation" in v for v in validate_entry(entry, CATEGORIES))
 
     def test_exclusivity_violation(self):
         entry = self.valid_entry()
         entry.blendshapes["circleEyes"] = 1.0
         entry.blendshapes["eyeBlinkL"] = 0.4
-        assert any("exclusivity" in v for v in validate_entry(entry))
+        assert any("exclusivity" in v for v in validate_entry(entry, CATEGORIES))
 
     def test_empty_emotions(self):
         entry = self.valid_entry()
         entry.emotions = {}
-        assert any("empty emotion" in v for v in validate_entry(entry))
+        assert any("empty emotion" in v for v in validate_entry(entry, CATEGORIES))
 
     def test_emotion_intensity_bounds(self):
         entry = self.valid_entry()
         entry.emotions = {"Joy": 1.5}
-        assert any("emotion intensity" in v for v in validate_entry(entry))
+        assert any("emotion intensity" in v for v in validate_entry(entry, CATEGORIES))
 
     def test_unknown_emotion_category(self):
         entry = self.valid_entry()
         entry.emotions = {"Zeal": 0.5}
-        violations = validate_entry(entry, categories=load_emotion_categories())
+        violations = validate_entry(entry, CATEGORIES)
         assert any("not in configured list" in v for v in violations)
 
     def test_fixture_dataset_validates(self):
-        categories = load_emotion_categories()
-        for entry in load_expression_dataset(FIXTURES / "expressions.jsonl"):
-            assert validate_entry(entry, categories) == []
+        for entry in load_expression_dataset(FIXTURES / "expressions.jsonl",
+                                             CATEGORIES):
+            assert validate_entry(entry, CATEGORIES) == []

@@ -11,21 +11,25 @@ from hypothesis import strategies as st
 
 from toonmotion.curves import smoothstep
 from toonmotion.errors import (
-    DurationMismatch,
     EmptyDataset,
     OverlappingPhonemes,
     ValidationError,
 )
 from toonmotion.expression_dataset import (
     CHANNEL_REGISTRY,
+    EXAGGERATION_CHANNELS,
     EYELID_CHANNELS,
+    MOUTH_CHANNELS,
     ExpressionEntry,
     empty_blendshapes,
 )
 from toonmotion.face_engine import (
+    BLINK_CLOSE_S,
+    BLINK_HOLD_S,
+    BLINK_OPEN_S,
     BLINK_TOTAL_S,
+    LIPSYNC_ALPHA,
     VISEME_RAMP_S,
-    BlinkEnvelope,
     PhonemeEvent,
     compose_face_track,
     fallback_phonemes,
@@ -33,7 +37,6 @@ from toonmotion.face_engine import (
     lipsync_track,
     load_phoneme_file,
     load_viseme_table,
-    plan_transition,
     retrieve_expression,
     schedule_blinks,
     validate_phonemes,
@@ -54,6 +57,104 @@ def entry(entry_id, emotions, **shapes):
 
 def ev(phoneme, start, end):
     return PhonemeEvent(phoneme=phoneme, start_s=start, end_s=end)
+
+
+TABLE = load_viseme_table()
+
+
+def compose(expression, duration, fps=30.0, *, phonemes=(), blinks=(),
+            transition_s=Config.transition_s, source="file"):
+    return compose_face_track(expression, list(phonemes), list(blinks), duration,
+                              fps=fps, transition_s=transition_s,
+                              viseme_table=TABLE, lipsync_source=source)
+
+
+def random_phonemes(rng, fps, count=60):
+    """*count* touching or spaced events, some a frame or a ramp long; returns
+    the events and the time after the last gap."""
+    events, t = [], rng.uniform(-0.1, 0.2)
+    for _ in range(count):
+        d = rng.choice([rng.uniform(0.01, 0.4), 1.0 / fps, 0.06])
+        phoneme = rng.choice(["a", "i", "MBP", "FV", "sil", "zz"])
+        events.append(ev(phoneme, t, t + d))
+        t += d + rng.choice([0.0, rng.uniform(0.0, 0.2)])
+    return events, t
+
+
+def reference_lipsync(events, times):
+    """Every event's trapezoid evaluated on every frame, max-combined."""
+    values = np.zeros((times.shape[0], len(CHANNEL_REGISTRY)))
+    voicing = np.zeros(times.shape[0])
+    for e in events:
+        if e.phoneme == "sil":
+            continue
+        envelope = smoothstep((times - e.start_s) / VISEME_RAMP_S) * (
+            1.0 - smoothstep((times - e.end_s) / VISEME_RAMP_S))
+        voicing = np.maximum(voicing, envelope)
+        for name, weight in TABLE.get(e.phoneme, TABLE["other"]).items():
+            idx = CHANNEL_REGISTRY.index(name)
+            values[:, idx] = np.maximum(values[:, idx], envelope * float(weight))
+    return values, voicing
+
+
+class ReferenceCurve:
+    """A per-channel transition from *start* to *end* over [t0, t0 + dur]:
+    smoothstep for regular channels, a midpoint snap for exaggerations."""
+
+    def __init__(self, start, end, t0, dur):
+        self.start, self.end, self.t0, self.dur = start, end, t0, dur
+
+    def values(self, times):
+        u = np.clip((times - self.t0) / self.dur, 0.0, 1.0)
+        snap = np.array([name in EXAGGERATION_CHANNELS for name in CHANNEL_REGISTRY])
+        weights = np.where(snap[np.newaxis, :],
+                           (u >= 0.5).astype(np.float64)[:, np.newaxis],
+                           smoothstep(u)[:, np.newaxis])
+        return self.start[np.newaxis, :] + (
+            (self.end - self.start)[np.newaxis, :] * weights)
+
+
+def reference_blink(onset, times):
+    t = times - onset
+    closing = smoothstep(t / BLINK_CLOSE_S)
+    opening = 1.0 - smoothstep((t - BLINK_CLOSE_S - BLINK_HOLD_S) / BLINK_OPEN_S)
+    inside = (t >= 0.0) & (t <= BLINK_TOTAL_S)
+    return np.where(inside, np.minimum(closing, opening), 0.0)
+
+
+def reference_compose(expression, events, onsets, duration, fps, transition_s):
+    """The face track layered as separate objects: a transition curve from
+    the neutral face, lip-sync on every frame, blinks pruned by an
+    overlay-eye span, one envelope per blink, and per-frame eyelid zeroing
+    wherever the composed overlay channels are on."""
+    shapes = expression.blendshapes
+    times = np.arange(int(round(duration * fps)) + 1) / fps
+    end = np.array([shapes.get(name, 0.0) for name in CHANNEL_REGISTRY])
+    base = ReferenceCurve(np.zeros_like(end), end, 0.0, transition_s).values(times)
+
+    values, voicing = reference_lipsync(events, times)
+    mouth = [CHANNEL_REGISTRY.index(name) for name in MOUTH_CHANNELS]
+    alpha = LIPSYNC_ALPHA * voicing
+    base[:, mouth] = ((1.0 - alpha)[:, np.newaxis] * base[:, mouth]
+                      + LIPSYNC_ALPHA * values[:, mouth])
+
+    if shapes.get("circleEyes", 0.0) > 0.0 or shapes.get("angleEyes", 0.0) > 0.0:
+        s0, s1 = transition_s / 2.0, duration
+        onsets = [o for o in onsets if not (o < s1 and o + BLINK_TOTAL_S > s0)]
+    if onsets:
+        curve = np.zeros(times.shape[0])
+        for onset in onsets:
+            curve = np.maximum(curve, reference_blink(onset, times))
+        for name in ("eyeBlinkL", "eyeBlinkR"):
+            idx = CHANNEL_REGISTRY.index(name)
+            base[:, idx] = np.maximum(base[:, idx], curve)
+
+    overlay = np.maximum(base[:, CHANNEL_REGISTRY.index("circleEyes")],
+                         base[:, CHANNEL_REGISTRY.index("angleEyes")])
+    for name in EYELID_CHANNELS:
+        base[overlay > 0.0, CHANNEL_REGISTRY.index(name)] = 0.0
+    np.clip(base, 0.0, 1.0, out=base)
+    return base, [round(onset, 6) for onset in onsets]
 
 
 class TestPhonemeValidation:
@@ -156,91 +257,74 @@ class TestVisemeTable:
             load_viseme_table(path)
 
 
+def lipsync(events, fps, duration):
+    """Lip-sync on the frame grid a track of *duration* seconds has."""
+    times = np.arange(int(round(duration * fps)) + 1) / fps
+    return lipsync_track(events, fps, times, TABLE)
+
+
 class TestLipsync:
     def test_silence_has_no_motion(self):
-        result = lipsync_track([ev("sil", 0.0, 1.0)], fps=30.0, duration_s=1.0,
-                               viseme_table=load_viseme_table(), source="file")
-        assert np.all(result.values == 0.0)
-        assert np.all(result.voicing == 0.0)
+        values, voicing = lipsync([ev("sil", 0.0, 1.0)], 30.0, 1.0)
+        assert np.all(values == 0.0)
+        assert np.all(voicing == 0.0)
 
     def test_vowel_plateau_reaches_table_weight(self):
-        result = lipsync_track([ev("a", 0.0, 0.5)], fps=100.0, duration_s=0.5,
-                               viseme_table=load_viseme_table(), source="file")
-        jaw = result.values[:, 15]  # jawOpen
+        values, voicing = lipsync([ev("a", 0.0, 0.5)], 100.0, 0.5)
+        jaw = values[:, 15]  # jawOpen
         mid = int(0.25 * 100)
         assert jaw[mid] == pytest.approx(0.7, abs=1e-9)
-        assert result.voicing[mid] == pytest.approx(1.0, abs=1e-9)
+        assert voicing[mid] == pytest.approx(1.0, abs=1e-9)
 
     def test_ramp_is_smoothstep(self):
-        result = lipsync_track([ev("a", 0.0, 0.5)], fps=100.0, duration_s=0.5,
-                               viseme_table=load_viseme_table(), source="file")
-        jaw = result.values[:, 15]
+        values, _ = lipsync([ev("a", 0.0, 0.5)], 100.0, 0.5)
+        jaw = values[:, 15]
         # halfway through the 60 ms attack: smoothstep(0.5) = 0.5
         assert jaw[3] == pytest.approx(0.7 * 0.5, abs=1e-9)
 
     def test_bilabial_closes_the_jaw(self):
         events = [ev("a", 0.0, 0.2), ev("MBP", 0.2, 0.35)]
-        result = lipsync_track(events, fps=50.0, duration_s=0.4,
-                               viseme_table=load_viseme_table(), source="file")
+        values, voicing = lipsync(events, 50.0, 0.4)
         t_idx = int(round(0.26 * 50))  # 0.06 s after the vowel ended
-        assert result.values[t_idx, 15] == pytest.approx(0.0, abs=1e-9)
-        press = result.values[t_idx, 23]  # mouthPressL
+        assert values[t_idx, 15] == pytest.approx(0.0, abs=1e-9)
+        press = values[t_idx, 23]  # mouthPressL
         assert press == pytest.approx(1.0, abs=1e-9)
-        assert result.voicing[t_idx] == pytest.approx(1.0, abs=1e-9)
+        assert voicing[t_idx] == pytest.approx(1.0, abs=1e-9)
 
     def test_voicing_ignores_silence(self):
         events = [ev("a", 0.0, 0.2), ev("sil", 0.2, 0.8), ev("o", 0.8, 1.0)]
-        result = lipsync_track(events, fps=30.0, duration_s=1.0,
-                               viseme_table=load_viseme_table(), source="file")
+        _, voicing = lipsync(events, 30.0, 1.0)
         mid = 15  # t = 0.5, deep inside the sil event
-        assert result.voicing[mid] == pytest.approx(0.0, abs=1e-6)
+        assert voicing[mid] == pytest.approx(0.0, abs=1e-6)
 
     def test_unknown_phoneme_uses_other_pose(self):
-        result = lipsync_track([ev("zz", 0.0, 0.5)], fps=30.0, duration_s=0.5,
-                               viseme_table=load_viseme_table(), source="file")
-        jaw = result.values[:, 15]
+        values, _ = lipsync([ev("zz", 0.0, 0.5)], 30.0, 0.5)
+        jaw = values[:, 15]
         assert jaw.max() == pytest.approx(0.25, abs=1e-9)
 
     def test_values_bounded_by_voicing_scaled_table(self):
         events = [ev("a", 0.0, 0.3), ev("i", 0.3, 0.6), ev("MBP", 0.6, 0.8)]
-        result = lipsync_track(events, fps=60.0, duration_s=1.0,
-                               viseme_table=load_viseme_table(), source="file")
-        assert np.all(result.values <= result.voicing[:, np.newaxis] + 1e-12)
+        values, voicing = lipsync(events, 60.0, 1.0)
+        assert np.all(values <= voicing[:, np.newaxis] + 1e-12)
 
     def test_frame_count(self):
-        result = lipsync_track([ev("a", 0.0, 1.0)], fps=30.0, duration_s=1.5,
-                               viseme_table=load_viseme_table(), source="file")
-        assert result.values.shape[0] == 46
+        values, voicing = lipsync([ev("a", 0.0, 1.0)], 30.0, 1.5)
+        assert values.shape[0] == voicing.shape[0] == 46
+        track = compose(entry("face1", {"Joy": 0.8}), 1.5,
+                        phonemes=[ev("a", 0.0, 1.0)])
+        assert track.frame_count == 46
 
     @pytest.mark.parametrize("fps", [24.0, 29.97, 30.0, 60.0])
     def test_matches_envelopes_over_every_frame(self, fps):
         """Each event only touches its own frames, bit for bit."""
-        table = load_viseme_table()
         rng = random.Random(int(fps * 100))
-        events, t = [], rng.uniform(-0.1, 0.2)
-        for _ in range(60):
-            d = rng.choice([rng.uniform(0.01, 0.4), 1.0 / fps, 0.06])
-            phoneme = rng.choice(["a", "i", "MBP", "FV", "sil", "zz"])
-            events.append(ev(phoneme, t, t + d))
-            t += d + rng.choice([0.0, rng.uniform(0.0, 0.2)])
-        duration = t * 0.9
-        result = lipsync_track(events, fps, duration_s=duration, viseme_table=table,
-                               source="file")
-
+        events, end = random_phonemes(rng, fps)
+        duration = end * 0.9
         times = np.arange(int(round(duration * fps)) + 1) / fps
-        values = np.zeros_like(result.values)
-        voicing = np.zeros_like(result.voicing)
-        for e in events:
-            if e.phoneme == "sil":
-                continue
-            envelope = smoothstep((times - e.start_s) / VISEME_RAMP_S) * (
-                1.0 - smoothstep((times - e.end_s) / VISEME_RAMP_S))
-            voicing = np.maximum(voicing, envelope)
-            for name, weight in table.get(e.phoneme, table["other"]).items():
-                idx = CHANNEL_REGISTRY.index(name)
-                values[:, idx] = np.maximum(values[:, idx], envelope * float(weight))
-        np.testing.assert_array_equal(result.values, values)
-        np.testing.assert_array_equal(result.voicing, voicing)
+        got_values, got_voicing = lipsync_track(events, fps, times, TABLE)
+        values, voicing = reference_lipsync(events, times)
+        np.testing.assert_array_equal(got_values, values)
+        np.testing.assert_array_equal(got_voicing, voicing)
 
 
 class TestEmotionInference:
@@ -303,41 +387,45 @@ class TestExpressionRetrieval:
 
 class TestTransition:
     def test_midpoint_of_smooth_channels(self):
-        a = {"jawOpen": 0.0}
-        b = {"jawOpen": 0.8}
-        curve = plan_transition(a, b, t0=1.0, dur=0.4)
-        jaw = curve.at(1.2)[15]
-        assert jaw == pytest.approx(0.4, abs=1e-9)
+        track = compose(entry("face1", {"Joy": 0.8}, jawOpen=0.8), 1.0, fps=100.0)
+        assert track.channel("jawOpen")[20] == pytest.approx(0.4, abs=1e-9)
 
     def test_endpoints_clamp(self):
-        curve = plan_transition({"jawOpen": 0.2}, {"jawOpen": 0.8}, 1.0, 0.4)
-        assert curve.at(0.0)[15] == pytest.approx(0.2)
-        assert curve.at(99.0)[15] == pytest.approx(0.8)
+        track = compose(entry("face1", {"Joy": 0.8}, jawOpen=0.8), 1.0, fps=100.0)
+        jaw = track.channel("jawOpen")
+        assert jaw[0] == 0.0
+        assert np.all(jaw[40:] == pytest.approx(0.8))
 
     def test_exaggeration_snaps_at_midpoint(self):
-        a = {"circleEyes": 0.0}
-        b = {"circleEyes": 1.0}
-        curve = plan_transition(a, b, t0=0.0, dur=0.4)
-        idx = 28  # circleEyes
-        assert curve.at(0.19)[idx] == 0.0
-        assert curve.at(0.20)[idx] == 1.0
-        assert curve.at(0.35)[idx] == 1.0
+        track = compose(entry("face1", {"Joy": 0.8}, circleEyes=1.0), 1.0, fps=100.0)
+        circle = track.channel("circleEyes")
+        assert circle[19] == 0.0
+        assert circle[20] == 1.0
+        assert circle[35] == 1.0
 
     def test_smooth_channel_is_smoothstep(self):
-        curve = plan_transition({"jawOpen": 0.0}, {"jawOpen": 1.0}, 0.0, 1.0)
+        track = compose(entry("face1", {"Joy": 0.8}, jawOpen=1.0), 2.0, fps=100.0,
+                        transition_s=1.0)
         # smoothstep(0.25) = 3*0.0625 - 2*0.015625 = 0.15625
-        assert curve.at(0.25)[15] == pytest.approx(0.15625, abs=1e-12)
+        assert track.channel("jawOpen")[25] == pytest.approx(0.15625, abs=1e-12)
 
     def test_zero_duration_rejected(self):
         with pytest.raises(ValidationError):
-            plan_transition({}, {}, 0.0, 0.0)
+            compose(entry("face1", {"Joy": 0.8}), 1.0, transition_s=0.0)
+
+
+def schedule(duration, seed):
+    return schedule_blinks(duration, random.Random(seed),
+                           mean_gap_s=Config.blink_mean_gap_s,
+                           min_gap_s=Config.blink_min_gap_s)
 
 
 class TestBlinks:
     def test_envelope_shape(self):
-        blink = BlinkEnvelope(onset_s=1.0)
-        t = np.array([0.99, 1.0, 1.05, 1.10, 1.125, 1.15, 1.225, 1.30, 1.31])
-        v = blink.values(t)
+        track = compose(entry("face1", {"Joy": 0.8}), 1.5, fps=1000.0,
+                        blinks=[1.0])
+        v = track.channel("eyeBlinkL")[[990, 1000, 1050, 1100, 1125, 1150, 1225,
+                                        1300, 1310]]
         assert v[0] == 0.0                        # before onset
         assert v[1] == 0.0                        # smoothstep(0) at onset
         assert v[2] == pytest.approx(0.5)         # mid-close
@@ -355,77 +443,56 @@ class TestBlinks:
         golden = json.loads(
             (GOLDENS / "blink_onsets_seed42_10s.json").read_text(encoding="utf-8")
         )
-        blinks = schedule_blinks(10.0, random.Random(42),
-                                 mean_gap_s=Config.blink_mean_gap_s,
-                                 min_gap_s=Config.blink_min_gap_s)
-        assert [b.onset_s for b in blinks] == golden
+        assert schedule(10.0, 42) == golden
 
     def test_deterministic(self):
-        runs = {
-            tuple(b.onset_s for b in schedule_blinks(10.0, random.Random(42),
-                                                     mean_gap_s=Config.blink_mean_gap_s,
-                                                     min_gap_s=Config.blink_min_gap_s))
-            for _ in range(50)
-        }
+        runs = {tuple(schedule(10.0, 42)) for _ in range(50)}
         assert len(runs) == 1
 
     def test_every_blink_completes_before_end(self):
         for seed in range(30):
-            for blink in schedule_blinks(3.0, random.Random(seed),
-                                         mean_gap_s=Config.blink_mean_gap_s,
-                                         min_gap_s=Config.blink_min_gap_s):
-                assert blink.onset_s + BLINK_TOTAL_S <= 3.0 + 1e-9
+            for onset in schedule(3.0, seed):
+                assert onset + BLINK_TOTAL_S <= 3.0 + 1e-9
 
     def test_minimum_gap_enforced(self):
         for seed in range(30):
-            blinks = schedule_blinks(30.0, random.Random(seed),
-                                     mean_gap_s=Config.blink_mean_gap_s,
-                                     min_gap_s=Config.blink_min_gap_s)
-            for a, b in zip(blinks, blinks[1:]):
-                assert b.onset_s - (a.onset_s + BLINK_TOTAL_S) >= 1.0 - 1e-9
+            onsets = schedule(30.0, seed)
+            for a, b in zip(onsets, onsets[1:]):
+                assert b - (a + BLINK_TOTAL_S) >= 1.0 - 1e-9
 
     def test_short_duration_has_no_blinks(self):
-        assert schedule_blinks(0.5, random.Random(0),
-                               mean_gap_s=Config.blink_mean_gap_s,
-                               min_gap_s=Config.blink_min_gap_s) == []
+        assert schedule(0.5, 0) == []
 
     def test_suppression_drops_only_overlapping(self):
-        base = schedule_blinks(10.0, random.Random(42),
-                               mean_gap_s=Config.blink_mean_gap_s,
-                               min_gap_s=Config.blink_min_gap_s)
-        span = (base[1].onset_s, base[1].onset_s + 0.01)
-        pruned = schedule_blinks(10.0, random.Random(42),
-                                 suppressed_spans=[span],
-                                 mean_gap_s=Config.blink_mean_gap_s,
-                                 min_gap_s=Config.blink_min_gap_s)
-        assert [b.onset_s for b in pruned] == [
-            b.onset_s for b in base if not b.overlaps(span)
-        ]
-        assert len(pruned) == len(base) - 1
+        # Overlay eyes come on at half the transition: a blink that ends
+        # by then is kept, every later one is dropped.
+        onsets = schedule(10.0, 42)
+        transition_s = 2.0 * (onsets[0] + BLINK_TOTAL_S)
+        track = compose(entry("face1", {"Joy": 0.8}, angleEyes=1.0), 10.0,
+                        blinks=onsets, transition_s=transition_s)
+        assert track.provenance["blink_onsets"] == [round(onsets[0], 6)]
+        assert len(onsets) > 1
 
     def test_suppression_does_not_shift_later_blinks(self):
-        base = schedule_blinks(10.0, random.Random(42),
-                               mean_gap_s=Config.blink_mean_gap_s,
-                               min_gap_s=Config.blink_min_gap_s)
-        pruned = schedule_blinks(10.0, random.Random(42),
-                                 suppressed_spans=[(0.0, 5.0)],
-                                 mean_gap_s=Config.blink_mean_gap_s,
-                                 min_gap_s=Config.blink_min_gap_s)
-        survivors = [b.onset_s for b in base if b.onset_s >= 5.0]
-        assert [b.onset_s for b in pruned] == survivors
+        onsets = schedule(10.0, 42)
+        for transition_s in (0.4, 4.0, 10.0, 20.0):
+            track = compose(entry("face1", {"Joy": 0.8}, circleEyes=1.0), 10.0,
+                            blinks=onsets, transition_s=transition_s)
+            assert track.provenance["blink_onsets"] == [
+                round(onset, 6) for onset in onsets
+                if onset + BLINK_TOTAL_S <= transition_s / 2.0
+            ]
 
     def test_full_suppression(self):
-        blinks = schedule_blinks(10.0, random.Random(42),
-                                 suppressed_spans=[(0.0, 10.0)],
-                                 mean_gap_s=Config.blink_mean_gap_s,
-                                 min_gap_s=Config.blink_min_gap_s)
-        assert blinks == []
+        onsets = schedule(10.0, 42)
+        track = compose(entry("face1", {"Joy": 0.8}, circleEyes=1.0), 10.0,
+                        blinks=onsets)
+        assert onsets
+        assert track.provenance["blink_onsets"] == []
 
     def test_rejects_non_positive_duration(self):
         with pytest.raises(ValidationError):
-            schedule_blinks(0.0, random.Random(0),
-                            mean_gap_s=Config.blink_mean_gap_s,
-                            min_gap_s=Config.blink_min_gap_s)
+            schedule(0.0, 0)
 
 
 class TestCompose:
@@ -433,100 +500,66 @@ class TestCompose:
         return entry("face1", {"Joy": 0.8}, **shapes)
 
     def test_static_expression_tiles(self):
-        track = compose_face_track(
-            self.static_entry(mouthSmileL=0.6), None, [], None, 1.0, 30.0
-        )
+        track = compose(self.static_entry(mouthSmileL=0.6), 1.0)
         assert track.frame_count == 31
         smile = track.channel("mouthSmileL")
-        assert np.all(smile == pytest.approx(0.6))
+        assert np.all(smile[12:] == pytest.approx(0.6))  # from t = 0.4 s
 
     def test_blink_max_combines_with_base(self):
-        track = compose_face_track(
-            self.static_entry(eyeBlinkL=0.3), None,
-            [BlinkEnvelope(0.4)], None, 1.0, 100.0,
-        )
+        track = compose(self.static_entry(eyeBlinkL=0.3), 1.0, fps=100.0,
+                        blinks=[0.4], transition_s=0.01)
         blink = track.channel("eyeBlinkL")
-        assert blink[0] == pytest.approx(0.3)       # base before the blink
+        assert blink[1] == pytest.approx(0.3)       # base before the blink
         assert blink[50] == pytest.approx(1.0)      # fully closed at 0.5 s
         assert blink.max() == pytest.approx(1.0)
-        assert blink.min() == pytest.approx(0.3)    # never below base
+        assert blink[1:].min() == pytest.approx(0.3)  # never below base
 
     def test_lipsync_layering_formula(self):
-        lipsync = lipsync_track(
-            [ev("a", 0.0, 1.0)], fps=30.0, duration_s=1.0,
-            viseme_table=load_viseme_table(), source="file"
-        )
-        track = compose_face_track(
-            self.static_entry(mouthSmileL=1.0, jawOpen=0.1),
-            None, [], lipsync, 1.0, 30.0,
-        )
+        track = compose(self.static_entry(mouthSmileL=1.0, jawOpen=0.1), 1.0,
+                        phonemes=[ev("a", 0.0, 1.0)])
         mid = 15  # fully voiced plateau
         assert track.channel("jawOpen")[mid] == pytest.approx(0.58, abs=1e-9)
         assert track.channel("mouthSmileL")[mid] == pytest.approx(0.2, abs=1e-9)
 
     def test_lipsync_leaves_base_during_silence(self):
-        lipsync = lipsync_track(
-            [ev("sil", 0.0, 1.0)], fps=30.0, duration_s=1.0,
-            viseme_table=load_viseme_table(), source="file"
-        )
-        track = compose_face_track(
-            self.static_entry(mouthSmileL=0.6), None, [], lipsync, 1.0, 30.0
-        )
-        assert np.all(track.channel("mouthSmileL") == pytest.approx(0.6))
+        track = compose(self.static_entry(mouthSmileL=0.6), 1.0,
+                        phonemes=[ev("sil", 0.0, 1.0)])
+        expected = compose(self.static_entry(mouthSmileL=0.6), 1.0)
+        assert np.all(track.channel("mouthSmileL")
+                      == expected.channel("mouthSmileL"))
+        assert track.channel("mouthSmileL")[-1] == pytest.approx(0.6)
 
     def test_lipsync_does_not_touch_non_mouth_channels(self):
-        lipsync = lipsync_track([ev("a", 0.0, 1.0)], fps=30.0, duration_s=1.0,
-                                viseme_table=load_viseme_table(), source="file")
-        track = compose_face_track(
-            self.static_entry(browUpL=0.5), None, [], lipsync, 1.0, 30.0
-        )
-        assert np.all(track.channel("browUpL") == pytest.approx(0.5))
+        track = compose(self.static_entry(browUpL=0.5), 1.0,
+                        phonemes=[ev("a", 0.0, 1.0)])
+        assert np.all(track.channel("browUpL")[12:] == pytest.approx(0.5))
 
     def test_overlay_eyes_suppress_eyelids(self):
-        track = compose_face_track(
-            self.static_entry(circleEyes=1.0), None,
-            [BlinkEnvelope(0.4)], None, 1.0, 30.0,
-        )
+        track = compose(self.static_entry(circleEyes=1.0, eyeWideL=0.5), 1.0,
+                        blinks=[0.4])
+        circle = track.channel("circleEyes")
+        assert np.all(circle[6:] == 1.0) and np.all(circle[:6] == 0.0)
         for name in EYELID_CHANNELS:
-            assert np.all(track.channel(name) == 0.0), name
-        assert np.all(track.channel("circleEyes") == 1.0)
+            assert np.all(track.channel(name)[6:] == 0.0), name
+        assert np.all(track.channel("eyeBlinkL") == 0.0)  # the blink is dropped
+        assert track.provenance["blink_onsets"] == []
 
     def test_transition_feeds_compose(self):
-        curve = plan_transition(
-            {"jawOpen": 0.0}, {"jawOpen": 0.8}, t0=0.0, dur=0.4
-        )
-        track = compose_face_track(
-            self.static_entry(jawOpen=0.8), curve, [], None, 1.0, 30.0
-        )
+        track = compose(self.static_entry(jawOpen=0.8), 1.0)
         jaw = track.channel("jawOpen")
         assert jaw[0] == pytest.approx(0.0)
         assert jaw[-1] == pytest.approx(0.8)
         assert np.all(np.diff(jaw) >= -1e-12)
 
-    def test_fps_mismatch_rejected(self):
-        lipsync = lipsync_track([ev("a", 0.0, 1.0)], fps=24.0, duration_s=1.0,
-                                viseme_table=load_viseme_table(), source="file")
-        with pytest.raises(DurationMismatch):
-            compose_face_track(self.static_entry(), None, [], lipsync, 1.0, 30.0)
-
-    def test_frame_count_mismatch_rejected(self):
-        lipsync = lipsync_track([ev("a", 0.0, 1.0)], fps=30.0, duration_s=2.0,
-                                viseme_table=load_viseme_table(), source="file")
-        with pytest.raises(DurationMismatch):
-            compose_face_track(self.static_entry(), None, [], lipsync, 1.0, 30.0)
-
     def test_provenance_contents(self):
-        lipsync = lipsync_track([ev("a", 0.0, 1.0)], fps=30.0, duration_s=1.0,
-                                source="fallback", viseme_table=load_viseme_table())
-        track = compose_face_track(
-            self.static_entry(), None, [BlinkEnvelope(0.25)], lipsync, 1.0, 30.0
-        )
+        track = compose(self.static_entry(), 1.0, phonemes=[ev("a", 0.0, 1.0)],
+                        blinks=[0.25], source="fallback")
         assert track.provenance["expression_id"] == "face1"
         assert track.provenance["blink_onsets"] == [0.25]
         assert track.provenance["lipsync_source"] == "fallback"
 
     def test_json_dict_shape(self):
-        track = compose_face_track(self.static_entry(), None, [], None, 0.5, 30.0)
+        track = compose(self.static_entry(), 0.5)
         data = track.to_json_dict()
         assert len(data["channels"]) == 30
         assert len(data["frames"]) == 16
@@ -544,20 +577,43 @@ class TestCompose:
         shapes = {"mouthSmileL": base_level, "jawOpen": base_level}
         if overlay:
             shapes["angleEyes"] = 1.0
-        lipsync = lipsync_track(
-            fallback_phonemes("wow amazing", duration),
-            fps=30.0, duration_s=duration,
-            viseme_table=load_viseme_table(), source="file",
-        )
-        track = compose_face_track(
-            self.static_entry(**shapes), None,
-            schedule_blinks(duration, rng,
-                            mean_gap_s=Config.blink_mean_gap_s,
-                            min_gap_s=Config.blink_min_gap_s) if duration > 0 else [],
-            lipsync, duration, 30.0,
+        track = compose(
+            self.static_entry(**shapes), duration,
+            phonemes=fallback_phonemes("wow amazing", duration),
+            blinks=schedule_blinks(duration, rng,
+                                   mean_gap_s=Config.blink_mean_gap_s,
+                                   min_gap_s=Config.blink_min_gap_s),
         )
         assert np.all(track.frames >= 0.0)
         assert np.all(track.frames <= 1.0)
         if overlay:
+            on = track.channel("angleEyes") > 0.0
             for name in EYELID_CHANNELS:
-                assert np.all(track.channel(name) == 0.0)
+                assert np.all(track.channel(name)[on] == 0.0)
+            assert track.provenance["blink_onsets"] == []
+
+    @pytest.mark.parametrize("fps", [24.0, 29.97, 30.0, 60.0])
+    def test_matches_layered_reference_bit_for_bit(self, fps):
+        rng = random.Random(int(fps * 1000))
+        names = list(CHANNEL_REGISTRY)
+        for case in range(40):
+            shapes = empty_blendshapes()
+            for name in rng.sample(names, rng.randint(0, 10)):
+                shapes[name] = rng.choice([rng.random(), 0.0, -0.0, 1.0])
+            if rng.random() < 0.5:
+                shapes[rng.choice(["circleEyes", "angleEyes"])] = rng.choice(
+                    [rng.random(), 1.0])
+            expression = ExpressionEntry(f"e{case}", shapes, {"Joy": 1.0}, {})
+            events, end = random_phonemes(rng, fps, count=rng.randint(0, 30))
+            duration = max(end, 0.2) * rng.uniform(0.8, 1.2)
+            onsets = schedule_blinks(duration, rng, mean_gap_s=2.0, min_gap_s=0.5)
+            onsets += [rng.uniform(-0.5, duration + 0.5)
+                       for _ in range(rng.randint(0, 3))]
+            transition_s = rng.choice([0.4, rng.uniform(0.01, 2.0)])
+
+            track = compose(expression, duration, fps=fps, phonemes=events,
+                            blinks=onsets, transition_s=transition_s)
+            frames, kept = reference_compose(expression, events, onsets, duration,
+                                             fps, transition_s)
+            assert track.frames.tobytes() == frames.tobytes(), case
+            assert track.provenance["blink_onsets"] == kept, case

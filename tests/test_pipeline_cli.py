@@ -27,6 +27,7 @@ from toonmotion.pipeline import (
     load_config,
     synthesize,
 )
+from toonmotion.providers import load_emotion_categories
 
 from conftest import FIXTURES, GOLDENS
 
@@ -656,8 +657,9 @@ def test_malformed_expression_record_reported_with_line(tmp_path, capsys, reader
     path = _malformed_expression_file(tmp_path, kind)
     if reader == "load":
         with pytest.raises(MalformedEntry) as info:
-            load_expression_dataset(path)
+            load_expression_dataset(path, load_emotion_categories())
         assert info.value.line == 3
+        assert info.value.file == path
         return
     if reader == "validate-dataset":
         argv = ["validate-dataset", "--kind", "expression", "--path", str(path)]
@@ -666,7 +668,7 @@ def test_malformed_expression_record_reported_with_line(tmp_path, capsys, reader
                 "--out", str(tmp_path / "out.jsonl")]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: line 3:")
+    assert err.startswith(f"error: {path}: line 3:")
     assert not (tmp_path / "out.jsonl").exists()
 
 
@@ -710,3 +712,58 @@ def test_malformed_json_input_exits_1(tmp_path, capsys, case):
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+def test_unknown_emotion_category_is_rejected_everywhere(tmp_path, capsys):
+    lines = (FIXTURES / "expressions.jsonl").read_text("utf-8").splitlines()
+    record = json.loads(lines[0])
+    record["emotions"] = {"Bloop": 0.5}
+    path = tmp_path / "expressions.jsonl"
+    path.write_text("\n".join([json.dumps(record)] + lines[1:]) + "\n",
+                    encoding="utf-8")
+
+    code = main(["validate-dataset", "--kind", "expression", "--path", str(path)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert out["violations"] == [
+        f"{record['id']}: emotion category 'Bloop' not in configured list"
+    ]
+
+    with pytest.raises(MalformedEntry, match="'Bloop' not in configured list"):
+        load_expression_dataset(path, load_emotion_categories())
+
+    config = write_config(tmp_path / "cfg", expression_dataset=str(path))
+    code = main(["synthesize", "--text", "Hello there.", "--duration", "2.0",
+                 "--config", str(config), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "'Bloop' not in configured list" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+# The bytes appended to a dataset file: each breaks the line after the last
+# valid record.
+BROKEN_DATASET_LINES = {
+    "invalid_utf8": (b"\xff\n", "invalid UTF-8 byte 0xff at col 1"),
+    "invalid_json": (b'{"id": \n', "invalid JSON"),
+    "missing_field": (b'{"id": "broken"}\n', "missing field"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_DATASET_LINES))
+@pytest.mark.parametrize("dataset", ["gesture_dataset", "expression_dataset"])
+def test_dataset_error_names_file_and_line(tmp_path, capsys, dataset, case):
+    if dataset == "gesture_dataset":
+        shutil.copytree(FIXTURES / "gestures", tmp_path / "gestures")
+        bad = tmp_path / "gestures" / "gestures.jsonl"
+    else:
+        bad = tmp_path / "expressions.jsonl"
+        shutil.copy(FIXTURES / "expressions.jsonl", bad)
+    appended, message = BROKEN_DATASET_LINES[case]
+    line = len(bad.read_bytes().splitlines()) + 1
+    bad.write_bytes(bad.read_bytes() + appended)
+    config = write_config(tmp_path / "cfg", **{dataset: str(bad)})
+    code = main(["synthesize", "--text", "Hello there.", "--duration", "2.0",
+                 "--config", str(config), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {bad}: line {line}: {message}")

@@ -273,3 +273,33 @@ class TestFallbackEmotionProvider:
         )
         provider = FallbackEmotionProvider(primary, LexiconEmotionProvider())
         assert provider.infer("That is wonderful") == {"Joy": 0.8}
+
+
+# Bodies a provider answers with status 200 that carry no usable data.
+MALFORMED_BODIES = {
+    "emotion_array_body": ("emotion", [{"Joy": 0.5}]),
+    "emotion_non_numeric": ("emotion", {"emotions": {"Joy": "lots"}}),
+    "emotion_nan": ("emotion", {"emotions": {"Joy": float("nan")}}),
+    "embed_nan_component": ("embed", {"vectors": [[float("nan"), 1.0]], "dim": 2}),
+    "embed_non_numeric_component": ("embed", {"vectors": [["a", 1]], "dim": 2}),
+    "embed_vectors_not_a_list": ("embed", {"vectors": 5, "dim": 2}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_BODIES))
+def test_malformed_body_is_unavailable(case):
+    kind, body = MALFORMED_BODIES[case]
+    client = HttpEmbeddingProvider if kind == "embed" else HttpEmotionProvider
+
+    def provider():
+        return client("http://x", session=StubSession([StubResponse(200, body)]),
+                      backoff_s=0, timeout_s=Config.timeout_s, retries=0)
+
+    with pytest.raises(ProviderUnavailable):
+        if kind == "embed":
+            provider().embed(["a"])
+        else:
+            provider().infer("That is wonderful")
+    if kind == "emotion":
+        fallback = FallbackEmotionProvider(provider(), LexiconEmotionProvider())
+        assert fallback.infer("That is wonderful") == {"Joy": 0.8}
