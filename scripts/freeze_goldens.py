@@ -30,6 +30,7 @@ from toonmotion.text_semantics import reference_embed
 FIXTURES = REPO / "tests" / "fixtures"
 GOLDENS = FIXTURES / "goldens"
 BUNDLE_GOLDENS = GOLDENS / "bundles"
+QUESTIONNAIRE_GOLDEN = GOLDENS / "questionnaire"
 
 # Full synthesize requests on the fixture config. Each golden directory holds
 # the request (phoneme path relative to tests/fixtures) next to the three
@@ -143,6 +144,66 @@ def freeze_bundles():
         )
 
 
+# One questionnaire answer set per source. Every source shares a face whose
+# geometry and tags set every answered channel group, so each answer's
+# override shows in the built record; the "x_" sources are rejected.
+QUESTIONNAIRE_ANSWERS = {
+    **{f"eye_{o}": {"eye_state": o} for o in ("open", "half", "closed", "circle", "angle")},
+    **{f"mouth_{o}": {"mouth": o} for o in ("open", "closed", "smile", "frown", "pucker")},
+    **{f"brow_{o}": {"brow": o} for o in ("neutral", "raised", "furrowed")},
+    "overlays_empty": {"overlays": []},
+    "overlays_none": {"overlays": ["none"]},
+    **{"overlays_" + "_".join(combo): {"overlays": list(combo)} for combo in (
+        ("sweat",), ("blush",), ("shock",), ("sweat", "blush"), ("sweat", "shock"),
+        ("blush", "shock"), ("shock", "blush", "sweat"), ("blush", "blush"))},
+    "all_answered": {"eye_state": "closed", "mouth": "pucker", "brow": "raised",
+                     "overlays": ["sweat", "blush"]},
+    "all_null": {"eye_state": None, "mouth": None, "brow": None},
+    "unanswered": {},
+    "x_unknown_question": {"nostrils": "flared"},
+    "x_unknown_question_before_option": {"eye_state": "squint", "zz": 1, "aa": 2},
+    "x_eye_option": {"eye_state": "squint"},
+    "x_eye_non_string": {"eye_state": True},
+    "x_mouth_option": {"mouth": "grin"},
+    "x_mouth_non_string": {"mouth": {"open": 1}},
+    "x_brow_option": {"brow": "wiggle"},
+    "x_brow_non_string": {"brow": ["raised"]},
+    "x_overlays_option": {"overlays": ["sparkle"]},
+    "x_overlays_non_string": {"overlays": [["blush"]]},
+    "x_overlays_option_before_none": {"overlays": ["none", "sparkle"]},
+    "x_overlays_none_with_blush": {"overlays": ["none", "blush"]},
+    "x_overlays_none_twice": {"overlays": ["none", "none"]},
+    "x_first_bad_in_question_order": {"overlays": ["sparkle"], "brow": "wiggle",
+                                      "eye_state": "squint"},
+    "x_answers_not_object": [],
+}
+QUESTIONNAIRE_DIALOGUES = ("That is wonderful", "I am so worried about the exam",
+                           "What?! That is shocking news!", None)
+
+
+def freeze_questionnaire():
+    from gen_fixtures import _with_eyes, _with_mouth, neutral_landmarks
+
+    # Half-shut eyes, an open frowning mouth and raised brows.
+    face = _with_mouth(_with_eyes(neutral_landmarks(), 8.0), 233, 257, corner_dy=8.0)
+    tags = [{"tag": name, "confidence": conf} for name, conf in
+            (("blush", 0.9), ("sweat", 0.8), ("shock", 0.6), ("smile", 0.7))]
+    sources = QUESTIONNAIRE_GOLDEN / "sources"
+    sources.mkdir(parents=True, exist_ok=True)
+    for i, (name, answers) in enumerate(QUESTIONNAIRE_ANSWERS.items()):
+        source = {"image_id": name, "dialogue": QUESTIONNAIRE_DIALOGUES[i % 4],
+                  "tags": tags, "landmarks": face, "answers": answers}
+        (sources / f"{name}.json").write_text(json.dumps(source) + "\n",
+                                              encoding="utf-8")
+    with redirect_stdout(io.StringIO()):
+        code = cli_main([
+            "build-expressions", "--sources", str(sources),
+            "--out", str(QUESTIONNAIRE_GOLDEN / "expressions.jsonl"),
+            "--report", str(QUESTIONNAIRE_GOLDEN / "report.json"),
+        ])
+    assert code == 0, "build-expressions failed for the questionnaire golden"
+
+
 def freeze_neutral_draw():
     # Two neutral entries sorted by id; a forced fallback with seed 7 must
     # pick the same one forever.
@@ -162,6 +223,7 @@ def main():
     freeze_retrieve_cli()
     freeze_neutral_draw()
     freeze_bundles()
+    freeze_questionnaire()
     print(f"goldens written to {GOLDENS}")
 
 

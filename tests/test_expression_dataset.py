@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toonmotion.cli import main
 from toonmotion.errors import (
     EmptyEmotionResponse,
     InvalidLandmarks,
@@ -36,7 +37,7 @@ from toonmotion.expression_dataset import (
 )
 from toonmotion.providers import LexiconEmotionProvider, load_emotion_categories
 
-from conftest import FIXTURES
+from conftest import FIXTURES, GOLDENS
 
 CATEGORIES = frozenset(load_emotion_categories())
 
@@ -493,6 +494,16 @@ class TestBuild:
         with pytest.raises(MalformedEntry):
             build_dataset(src, LexiconEmotionProvider(),
                           categories=load_emotion_categories())
+
+
+def test_questionnaire_matches_frozen_golden(tmp_path, capsys):
+    golden = GOLDENS / "questionnaire"
+    out, report = tmp_path / "expressions.jsonl", tmp_path / "report.json"
+    assert main(["build-expressions", "--sources", str(golden / "sources"),
+                 "--out", str(out), "--report", str(report)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (golden / "expressions.jsonl").read_bytes()
+    assert report.read_bytes() == (golden / "report.json").read_bytes()
 
 
 class TestValidateEntry:
