@@ -79,11 +79,7 @@ class FrameCountMismatch(ValidationError):
 
 
 class SkeletonMismatch(ValidationError):
-    """Clips to be stitched do not share one skeleton."""
-
-
-class FpsMismatch(ValidationError):
-    """Clips to be stitched have different frame rates."""
+    """A skeleton's joint hierarchy is malformed."""
 
 
 class InvalidLandmarks(ValidationError):

@@ -65,7 +65,6 @@ CHANNEL_REGISTRY = FACE_CHANNELS + EXAGGERATION_CHANNELS
 EYELID_CHANNELS = ("eyeBlinkL", "eyeBlinkR", "eyeWideL", "eyeWideR",
                    "lidTightL", "lidTightR")
 
-EYE_STATE_CHANNELS = EYELID_CHANNELS + ("squintL", "squintR", "circleEyes", "angleEyes")
 MOUTH_CHANNELS = (
     "jawOpen",
     "mouthSmileL",
@@ -78,13 +77,31 @@ MOUTH_CHANNELS = (
     "mouthPressL",
     "mouthPressR",
 )
-BROW_CHANNELS = ("browUpL", "browUpR", "browDownL", "browDownR")
-OVERLAY_CHANNELS = ("sweatDrop", "blush", "shockLines")
 
-EYE_STATE_OPTIONS = ("open", "half", "closed", "circle", "angle")
-MOUTH_OPTIONS = ("open", "closed", "smile", "frown", "pucker")
-BROW_OPTIONS = ("neutral", "raised", "furrowed")
-OVERLAY_OPTIONS = ("none", "sweat", "blush", "shock")
+# The comic questionnaire: question -> (the channel group an answer sets,
+# {option: pose}). An answer zeroes its whole group, then applies its pose.
+# `overlays` takes a list of options whose poses combine.
+QUESTIONS = {
+    "eye_state": (EYELID_CHANNELS + ("squintL", "squintR", "circleEyes", "angleEyes"), {
+        "open": {}, "half": {"eyeBlinkL": 0.5, "eyeBlinkR": 0.5},
+        "closed": {"eyeBlinkL": 1.0, "eyeBlinkR": 1.0},
+        "circle": {"circleEyes": 1.0}, "angle": {"angleEyes": 1.0},
+    }),
+    "mouth": (MOUTH_CHANNELS, {
+        "open": {"jawOpen": 0.7}, "closed": {},
+        "smile": {"mouthSmileL": 0.8, "mouthSmileR": 0.8},
+        "frown": {"mouthFrownL": 0.8, "mouthFrownR": 0.8},
+        "pucker": {"mouthPucker": 0.8},
+    }),
+    "brow": (("browUpL", "browUpR", "browDownL", "browDownR"), {
+        "neutral": {}, "raised": {"browUpL": 0.7, "browUpR": 0.7},
+        "furrowed": {"browDownL": 0.7, "browDownR": 0.7},
+    }),
+    "overlays": (("sweatDrop", "blush", "shockLines"), {
+        "none": {}, "sweat": {"sweatDrop": 1.0}, "blush": {"blush": 1.0},
+        "shock": {"shockLines": 1.0},
+    }),
+}
 
 MAX_EMOTIONS_PER_ENTRY = 8
 
@@ -180,26 +197,35 @@ class LandmarkSet:
         return abs(float(self.points[_MOUTH_BOTTOM][1] - self.points[_MOUTH_TOP][1]))
 
 
-@dataclass
-class ChoiceAnswers:
-    eye_state: str | None = None
-    mouth: str | None = None
-    brow: str | None = None
-    overlays: list[str] | None = None
-
-    def __post_init__(self):
-        if self.eye_state is not None and self.eye_state not in EYE_STATE_OPTIONS:
-            raise UnknownOption(f"eye_state option {self.eye_state!r}")
-        if self.mouth is not None and self.mouth not in MOUTH_OPTIONS:
-            raise UnknownOption(f"mouth option {self.mouth!r}")
-        if self.brow is not None and self.brow not in BROW_OPTIONS:
-            raise UnknownOption(f"brow option {self.brow!r}")
-        if self.overlays is not None:
-            for opt in self.overlays:
-                if opt not in OVERLAY_OPTIONS:
-                    raise UnknownOption(f"overlays option {opt!r}")
-            if "none" in self.overlays and len(self.overlays) > 1:
-                raise UnknownOption("'none' cannot combine with other overlays")
+def answer_poses(answers) -> dict[str, dict[str, float]]:
+    """Check a source's raw ``answers`` object against :data:`QUESTIONS` and
+    return ``{question: pose}`` for the answered questions, in table order.
+    A null single-choice answer is unanswered; ``overlays`` must be a list
+    whose poses combine, and ``none`` in it must stand alone."""
+    if not isinstance(answers, dict):
+        raise MalformedEntry("answers must be an object", field="answers")
+    unknown = answers.keys() - QUESTIONS.keys()
+    if unknown:
+        raise UnknownOption(f"unknown question id {sorted(unknown)[0]!r}")
+    poses = {}
+    for question, (_, options) in QUESTIONS.items():
+        chosen = answers.get(question)
+        if question != "overlays":
+            if chosen is None:
+                continue
+            chosen = [chosen]
+        elif question not in answers:
+            continue
+        elif not isinstance(chosen, list):
+            raise MalformedEntry("overlays must be a JSON array", field="answers")
+        for option in chosen:
+            if not isinstance(option, str) or option not in options:
+                raise UnknownOption(f"{question} option {option!r}")
+        if "none" in chosen and len(chosen) > 1:
+            raise UnknownOption("'none' cannot combine with other overlays")
+        poses[question] = {name: w for option in chosen
+                           for name, w in options[option].items()}
+    return poses
 
 
 @dataclass
@@ -227,30 +253,6 @@ _TAG_EXAGGERATIONS = {
     "shock_lines": "shockLines",
 }
 
-_EYE_STATE_POSES = {
-    "open": {},
-    "half": {"eyeBlinkL": 0.5, "eyeBlinkR": 0.5},
-    "closed": {"eyeBlinkL": 1.0, "eyeBlinkR": 1.0},
-    "circle": {"circleEyes": 1.0},
-    "angle": {"angleEyes": 1.0},
-}
-
-_MOUTH_POSES = {
-    "open": {"jawOpen": 0.7},
-    "closed": {},
-    "smile": {"mouthSmileL": 0.8, "mouthSmileR": 0.8},
-    "frown": {"mouthFrownL": 0.8, "mouthFrownR": 0.8},
-    "pucker": {"mouthPucker": 0.8},
-}
-
-_BROW_POSES = {
-    "neutral": {},
-    "raised": {"browUpL": 0.7, "browUpR": 0.7},
-    "furrowed": {"browDownL": 0.7, "browDownR": 0.7},
-}
-
-_OVERLAY_TARGETS = {"sweat": "sweatDrop", "blush": "blush", "shock": "shockLines"}
-
 
 def _clamp01(v: float) -> float:
     return min(max(v, 0.0), 1.0)
@@ -260,23 +262,17 @@ def empty_blendshapes() -> dict[str, float]:
     return {name: 0.0 for name in CHANNEL_REGISTRY}
 
 
-def _override_category(shapes: dict[str, float], channels: tuple[str, ...],
-                       pose: dict[str, float]):
-    for name in channels:
-        shapes[name] = 0.0
-    shapes.update(pose)
-
-
 def fuse_sources(
     tags: list[Tag],
     landmarks: LandmarkSet,
-    answers: ChoiceAnswers,
+    answers: dict[str, dict[str, float]],
 ) -> dict[str, float]:
     """Fuse the three inference sources into one blendshape map.
 
     Pass 1 reads geometry off the landmarks, pass 2 applies tag rules above
-    the confidence floor, pass 3 lets answers override entire channel
-    categories. Precedence is absolute within each overridden category.
+    the confidence floor, pass 3 sets the channel group of each answered
+    question (the poses :func:`answer_poses` returns) to its pose.
+    Precedence is absolute within each overridden group.
     """
     shapes = empty_blendshapes()
 
@@ -327,18 +323,10 @@ def fuse_sources(
         else:
             log.info("ignoring unknown expression tag %r", name)
 
-    if answers.eye_state is not None:
-        _override_category(shapes, EYE_STATE_CHANNELS, _EYE_STATE_POSES[answers.eye_state])
-    if answers.mouth is not None:
-        _override_category(shapes, MOUTH_CHANNELS, _MOUTH_POSES[answers.mouth])
-    if answers.brow is not None:
-        _override_category(shapes, BROW_CHANNELS, _BROW_POSES[answers.brow])
-    if answers.overlays is not None:
-        pose = {}
-        for opt in answers.overlays:
-            if opt != "none":
-                pose[_OVERLAY_TARGETS[opt]] = 1.0
-        _override_category(shapes, OVERLAY_CHANNELS, pose)
+    for question, pose in answers.items():
+        for name in QUESTIONS[question][0]:
+            shapes[name] = 0.0
+        shapes.update(pose)
 
     for name in shapes:
         shapes[name] = _clamp01(shapes[name])
@@ -397,7 +385,9 @@ def annotate_emotion(
     return entry
 
 
-def parse_source_fixture(raw: dict) -> tuple[str, str | None, list[Tag], LandmarkSet, ChoiceAnswers]:
+def parse_source_fixture(
+    raw: dict,
+) -> tuple[str, str | None, list[Tag], LandmarkSet, dict[str, dict[str, float]]]:
     """Validate one per-image source JSON document."""
     if not isinstance(raw, dict):
         raise MalformedEntry("source fixture must be a JSON object")
@@ -425,20 +415,7 @@ def parse_source_fixture(raw: dict) -> tuple[str, str | None, list[Tag], Landmar
         raise MalformedEntry("landmarks need 'points' and 'bbox'", field="landmarks")
     landmarks = LandmarkSet(points=lm_raw["points"], bbox=tuple(lm_raw["bbox"]))
 
-    ans_raw = raw.get("answers", {})
-    if not isinstance(ans_raw, dict):
-        raise MalformedEntry("answers must be an object", field="answers")
-    known_questions = {"eye_state", "mouth", "brow", "overlays"}
-    unknown = set(ans_raw) - known_questions
-    if unknown:
-        raise UnknownOption(f"unknown question id {sorted(unknown)[0]!r}")
-    answers = ChoiceAnswers(
-        eye_state=ans_raw.get("eye_state"),
-        mouth=ans_raw.get("mouth"),
-        brow=ans_raw.get("brow"),
-        overlays=list(ans_raw["overlays"]) if "overlays" in ans_raw else None,
-    )
-    return image_id, dialogue, tags, landmarks, answers
+    return image_id, dialogue, tags, landmarks, answer_poses(raw.get("answers", {}))
 
 
 @dataclass
@@ -491,7 +468,10 @@ def build_dataset(
             # An outage is not bad data: it must not become per-image rejects.
             raise
         except Exception as exc:
-            report.rejects.append({"file": fixture.name, "error": str(exc)})
+            # A read error names the file by its full path; keep just the
+            # name, so the report does not depend on where the sources live.
+            error = str(exc).replace(str(fixture), fixture.name)
+            report.rejects.append({"file": fixture.name, "error": error})
             continue
         entries.append(entry)
 

@@ -45,6 +45,7 @@ BLINK_TOTAL_S = BLINK_CLOSE_S + BLINK_HOLD_S + BLINK_OPEN_S
 
 _CHANNEL_INDEX = {name: i for i, name in enumerate(CHANNEL_REGISTRY)}
 _MOUTH_IDX = np.array([_CHANNEL_INDEX[c] for c in MOUTH_CHANNELS])
+_MOUTH_COLUMN = {name: i for i, name in enumerate(MOUTH_CHANNELS)}
 _EYELID_IDX = np.array([_CHANNEL_INDEX[c] for c in EYELID_CHANNELS])
 _EXAGGERATION_MASK = np.array(
     [name in EXAGGERATION_CHANNELS for name in CHANNEL_REGISTRY]
@@ -186,8 +187,10 @@ def load_viseme_table(path: str | Path | None = None) -> dict[str, dict[str, flo
         if not isinstance(pose, dict):
             raise ValidationError(f"viseme {ph!r} must be an object of channel weights")
         for name, weight in pose.items():
-            if name not in _CHANNEL_INDEX:
-                raise ValidationError(f"viseme {ph!r} uses unknown channel {name!r}")
+            if name not in _MOUTH_COLUMN:
+                raise ValidationError(
+                    f"viseme {ph!r} uses {name!r}, which is not a mouth channel"
+                )
             try:
                 in_range = 0.0 <= float(weight) <= 1.0
             except (TypeError, ValueError):
@@ -207,7 +210,8 @@ def lipsync_track(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rasterize phoneme events onto the frame times ``arange(n) / fps``.
 
-    Returns per-frame viseme weights and the voicing envelope. Every event
+    Returns per-frame viseme weights (one column per channel of
+    ``MOUTH_CHANNELS``) and the voicing envelope. Every event
     contributes a trapezoid envelope (60 ms smoothstep rise and fall);
     concurrent contributions combine per channel by max. The voicing
     envelope is the same max over non-silent events and drives how strongly
@@ -215,7 +219,7 @@ def lipsync_track(
     """
     validate_phonemes(phonemes)
     frame_count = times.shape[0]
-    values = np.zeros((frame_count, len(CHANNEL_REGISTRY)))
+    values = np.zeros((frame_count, len(MOUTH_CHANNELS)))
     voicing = np.zeros(frame_count)
     for ev in phonemes:
         if ev.phoneme == "sil":
@@ -231,7 +235,7 @@ def lipsync_track(
         envelope = rise * fall
         voicing[lo:hi] = np.maximum(voicing[lo:hi], envelope)
         for name, weight in pose.items():
-            idx = _CHANNEL_INDEX[name]
+            idx = _MOUTH_COLUMN[name]
             values[lo:hi, idx] = np.maximum(
                 values[lo:hi, idx], envelope * float(weight)
             )
@@ -360,7 +364,7 @@ def compose_face_track(
     alpha = LIPSYNC_ALPHA * voicing
     base[:, _MOUTH_IDX] = (
         (1.0 - alpha)[:, np.newaxis] * base[:, _MOUTH_IDX]
-        + LIPSYNC_ALPHA * values[:, _MOUTH_IDX]
+        + LIPSYNC_ALPHA * values
     )
 
     overlay_eyes = has_overlay_eyes(expression.blendshapes)

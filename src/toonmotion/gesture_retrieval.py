@@ -5,6 +5,8 @@ The dataset is a JSONL file, one gesture entry per line:
     {"id": str, "phrase": str, "category": str, "neutral": bool,
      "clip": relative path to a BVH file, "duration_s": number}
 
+Every clip of a library shares the first clip's skeleton and frame rate.
+
 Phrases are embedded at load time and queries are answered by an exact
 linear cosine scan (the dataset scale is hundreds of entries). Queries whose
 best non-neutral similarity falls below the threshold get a uniformly random
@@ -14,6 +16,7 @@ neutral gesture drawn from the caller's seeded generator.
 from __future__ import annotations
 
 import random
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -24,6 +27,8 @@ from .bvh import GestureClip, parse_bvh
 from .errors import MalformedEntry, MissingClip, NoNeutralGesture
 from .jsonutil import iter_jsonl
 from .text_semantics import PhraseSpan, embed, segment_phrases
+
+FPS_REL_TOL = 1e-6
 
 
 class GestureCategory(str, Enum):
@@ -73,6 +78,11 @@ class GestureDataset:
 
     def __len__(self) -> int:
         return len(self.entries)
+
+    @property
+    def fps(self) -> float:
+        """The frame rate every clip of the library shares."""
+        return next(iter(self._clips.values())).fps
 
     def clip_for(self, entry_id: str) -> GestureClip:
         return self._clips[entry_id]
@@ -154,6 +164,17 @@ def load_gesture_dataset(path: str | Path, embedder) -> GestureDataset:
             if not clip_path.is_file():
                 raise MissingClip(f"clip file not found for {entry_id!r}: {clip_path}")
             clip = parse_bvh(clip_path.read_bytes(), source_id=entry_id)
+            first = next(iter(clips.values()), clip)
+            if not first.skeleton.matches(clip.skeleton):
+                raise MalformedEntry(
+                    f"clip {entry_id!r} skeleton differs from {first.source_id!r}",
+                    line=line_no, field="clip",
+                )
+            if not math.isclose(clip.fps, first.fps, rel_tol=FPS_REL_TOL):
+                raise MalformedEntry(
+                    f"clip {entry_id!r} fps {clip.fps} != {first.fps}",
+                    line=line_no, field="clip",
+                )
             if not abs(duration_s - clip.duration_s) <= 0.5 / clip.fps:
                 raise MalformedEntry(
                     f"duration_s {duration_s} differs from the clip's "

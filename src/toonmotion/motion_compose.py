@@ -17,13 +17,11 @@ import numpy as np
 
 from .bvh import GestureClip
 from .curves import smoothstep
-from .errors import FpsMismatch, SkeletonMismatch, ValidationError
+from .errors import ValidationError
 from .quat import slerp
 
 MIN_TIME_SCALE = 0.5
 MAX_TIME_SCALE = 2.0
-
-FPS_REL_TOL = 1e-6
 
 # slerp allocates about a dozen temporaries the size of its input; blending
 # in blocks of this many frames keeps them small on long tracks.
@@ -45,7 +43,8 @@ def _blend_into(root, rots, frames, a: GestureClip, a_idx, b: GestureClip, b_idx
 def stitch_clips(clips: list[GestureClip], blend_s: float) -> GestureClip:
     """Concatenate clips in order with a smoothstep slerp crossfade per seam.
 
-    The crossfade window at each seam is min(blend_s, half of either
+    The clips share one skeleton and frame rate, as every clip of a loaded
+    gesture library does. The crossfade window at each seam is min(blend_s, half of either
     neighboring clip's duration), centered on the seam. Frames inside the
     window blend the outgoing clip (held at its end when the window runs
     past it) into the incoming clip (held at its start before its first
@@ -57,16 +56,6 @@ def stitch_clips(clips: list[GestureClip], blend_s: float) -> GestureClip:
         raise ValueError("blend_s must be >= 0")
 
     first = clips[0]
-    for clip in clips[1:]:
-        if not first.skeleton.matches(clip.skeleton):
-            raise SkeletonMismatch(
-                f"clip {clip.source_id!r} skeleton differs from {first.source_id!r}"
-            )
-        if not math.isclose(clip.fps, first.fps, rel_tol=FPS_REL_TOL):
-            raise FpsMismatch(
-                f"clip {clip.source_id!r} fps {clip.fps} != {first.fps}"
-            )
-
     fps = first.fps
     # Baseline concatenation: the shared seam frame takes the incoming pose.
     root = np.concatenate(

@@ -27,7 +27,7 @@ from .face_engine import (
     retrieve_expression,
     schedule_blinks,
 )
-from .gesture_retrieval import load_gesture_dataset, retrieve_text
+from .gesture_retrieval import FPS_REL_TOL, load_gesture_dataset, retrieve_text
 from .jsonutil import atomic_write_files, canonical_json, read_json
 from .motion_compose import retime_to_speech, stitch_clips
 from .providers import (
@@ -242,6 +242,10 @@ def synthesize(
 
     categories = load_emotion_categories(config.emotion_categories)
     gestures = load_gesture_dataset(config.gesture_dataset, embedder)
+    if not math.isclose(config.fps, gestures.fps, rel_tol=FPS_REL_TOL):
+        raise ConfigError(
+            f"config fps {config.fps} differs from the gesture library's {gestures.fps}"
+        )
     expressions = load_expression_dataset(config.expression_dataset, categories)
     viseme_table = load_viseme_table(config.viseme_table)
 

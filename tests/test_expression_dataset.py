@@ -17,16 +17,15 @@ from toonmotion.errors import (
     UnknownOption,
 )
 from toonmotion.expression_dataset import (
-    BROW_CHANNELS,
     CHANNEL_REGISTRY,
     EXAGGERATION_CHANNELS,
     EYELID_CHANNELS,
     FACE_CHANNELS,
     MOUTH_CHANNELS,
-    ChoiceAnswers,
     ExpressionEntry,
     LandmarkSet,
     Tag,
+    answer_poses,
     build_dataset,
     empty_blendshapes,
     fuse_sources,
@@ -85,7 +84,7 @@ def with_mouth(points, top_y, bottom_y, corner_dy=0.0):
 
 
 def fuse(tags=(), points=None, **answers):
-    return fuse_sources(list(tags), landmarks(points), ChoiceAnswers(**answers))
+    return fuse_sources(list(tags), landmarks(points), answer_poses(answers))
 
 
 class TestChannelRegistry:
@@ -252,11 +251,35 @@ class TestAnswerPass:
 
     def test_unknown_options_rejected(self):
         with pytest.raises(UnknownOption):
-            ChoiceAnswers(eye_state="squint")
+            answer_poses({"eye_state": "squint"})
         with pytest.raises(UnknownOption):
-            ChoiceAnswers(mouth="grin")
+            answer_poses({"mouth": "grin"})
         with pytest.raises(UnknownOption):
-            ChoiceAnswers(overlays=["none", "blush"])
+            answer_poses({"overlays": ["none", "blush"]})
+
+    def test_null_single_choice_is_unanswered(self):
+        geometry = fuse(points=with_eye_gap(base_points(), 8.0))
+        assert answer_poses({"eye_state": None, "mouth": None, "brow": None}) == {}
+        assert fuse(points=with_eye_gap(base_points(), 8.0),
+                    eye_state=None, mouth=None, brow=None) == geometry
+
+    def test_unknown_question_reported_before_bad_option(self):
+        with pytest.raises(UnknownOption, match="^unknown question id 'aa'$"):
+            answer_poses({"eye_state": "squint", "zz": 1, "aa": 2})
+
+    def test_first_bad_option_in_question_order_reported(self):
+        answers = {"overlays": ["sparkle"], "brow": "wiggle", "mouth": 3}
+        with pytest.raises(UnknownOption, match="^mouth option 3$"):
+            answer_poses(answers)
+        with pytest.raises(UnknownOption, match=r"^overlays option \['blush'\]$"):
+            answer_poses({"overlays": ["none", ["blush"]]})
+
+    @pytest.mark.parametrize("overlays", [None, 1, "blush", {"blush": 1}],
+                             ids=["null", "number", "string", "object"])
+    def test_overlays_must_be_a_list(self, overlays):
+        with pytest.raises(MalformedEntry) as info:
+            answer_poses({"overlays": overlays})
+        assert info.value.field == "answers"
 
 
 class TestFusionInvariants:
@@ -278,7 +301,7 @@ class TestFusionInvariants:
         shapes = fuse_sources(
             tags,
             landmarks(with_eye_gap(base_points(), gap)),
-            ChoiceAnswers(eye_state=eye_state),
+            answer_poses({"eye_state": eye_state}),
         )
         assert set(shapes) == set(CHANNEL_REGISTRY)
         for value in shapes.values():
@@ -364,7 +387,7 @@ class TestSourceParsing:
         )
         assert image_id == "imgX"
         assert tags[0].tag == "blush"  # lowercased
-        assert answers.mouth == "smile"
+        assert answers == {"mouth": {"mouthSmileL": 0.8, "mouthSmileR": 0.8}}
         assert lms.mouth_width() == pytest.approx(60.0)
 
     def test_missing_image_id(self):
@@ -464,6 +487,22 @@ class TestBuild:
         assert len(report.rejects) == 1
         assert report.rejects[0]["file"] == "img03.json"
         assert "img03" not in [e.id for e in entries]
+
+    def test_report_does_not_depend_on_the_source_directory(self, tmp_path, capsys):
+        reports = []
+        for sources in (tmp_path / "a", tmp_path / "longer_directory_name" / "b"):
+            shutil.copytree(FIXTURES / "expression_sources", sources)
+            (sources / "zz_bad.json").write_text('{"image_id": ', encoding="utf-8")
+            report = sources.parent / f"{sources.name}_report.json"
+            assert main(["build-expressions", "--sources", str(sources),
+                         "--out", str(sources.parent / "out.jsonl"),
+                         "--report", str(report)]) == 0
+            reports.append(report.read_bytes())
+        capsys.readouterr()
+        assert reports[0] == reports[1]
+        rejects = json.loads(reports[0])["rejects"]
+        assert [r["file"] for r in rejects] == ["zz_bad.json"]
+        assert rejects[0]["error"].startswith("zz_bad.json: line 1, col 14: invalid JSON")
 
     def test_provider_outage_aborts_the_build(self, tmp_path):
         class Down:

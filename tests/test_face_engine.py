@@ -83,7 +83,7 @@ def random_phonemes(rng, fps, count=60):
 
 def reference_lipsync(events, times):
     """Every event's trapezoid evaluated on every frame, max-combined."""
-    values = np.zeros((times.shape[0], len(CHANNEL_REGISTRY)))
+    values = np.zeros((times.shape[0], len(MOUTH_CHANNELS)))
     voicing = np.zeros(times.shape[0])
     for e in events:
         if e.phoneme == "sil":
@@ -92,7 +92,7 @@ def reference_lipsync(events, times):
             1.0 - smoothstep((times - e.end_s) / VISEME_RAMP_S))
         voicing = np.maximum(voicing, envelope)
         for name, weight in TABLE.get(e.phoneme, TABLE["other"]).items():
-            idx = CHANNEL_REGISTRY.index(name)
+            idx = MOUTH_CHANNELS.index(name)
             values[:, idx] = np.maximum(values[:, idx], envelope * float(weight))
     return values, voicing
 
@@ -136,7 +136,7 @@ def reference_compose(expression, events, onsets, duration, fps, transition_s):
     mouth = [CHANNEL_REGISTRY.index(name) for name in MOUTH_CHANNELS]
     alpha = LIPSYNC_ALPHA * voicing
     base[:, mouth] = ((1.0 - alpha)[:, np.newaxis] * base[:, mouth]
-                      + LIPSYNC_ALPHA * values[:, mouth])
+                      + LIPSYNC_ALPHA * values)
 
     if shapes.get("circleEyes", 0.0) > 0.0 or shapes.get("angleEyes", 0.0) > 0.0:
         s0, s1 = transition_s / 2.0, duration
@@ -256,6 +256,18 @@ class TestVisemeTable:
         with pytest.raises(ValidationError):
             load_viseme_table(path)
 
+    def test_rejects_channel_outside_the_mouth(self, tmp_path):
+        # Lip-sync only blends the mouth group, so the weight would be lost.
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps({
+            "sil": {}, "other": {"jawOpen": 0.3, "browUpL": 1.0},
+        }), encoding="utf-8")
+        with pytest.raises(ValidationError, match="'other' uses 'browUpL'"):
+            load_viseme_table(path)
+
+
+JAW = MOUTH_CHANNELS.index("jawOpen")
+
 
 def lipsync(events, fps, duration):
     """Lip-sync on the frame grid a track of *duration* seconds has."""
@@ -271,14 +283,14 @@ class TestLipsync:
 
     def test_vowel_plateau_reaches_table_weight(self):
         values, voicing = lipsync([ev("a", 0.0, 0.5)], 100.0, 0.5)
-        jaw = values[:, 15]  # jawOpen
+        jaw = values[:, JAW]
         mid = int(0.25 * 100)
         assert jaw[mid] == pytest.approx(0.7, abs=1e-9)
         assert voicing[mid] == pytest.approx(1.0, abs=1e-9)
 
     def test_ramp_is_smoothstep(self):
         values, _ = lipsync([ev("a", 0.0, 0.5)], 100.0, 0.5)
-        jaw = values[:, 15]
+        jaw = values[:, JAW]
         # halfway through the 60 ms attack: smoothstep(0.5) = 0.5
         assert jaw[3] == pytest.approx(0.7 * 0.5, abs=1e-9)
 
@@ -286,8 +298,8 @@ class TestLipsync:
         events = [ev("a", 0.0, 0.2), ev("MBP", 0.2, 0.35)]
         values, voicing = lipsync(events, 50.0, 0.4)
         t_idx = int(round(0.26 * 50))  # 0.06 s after the vowel ended
-        assert values[t_idx, 15] == pytest.approx(0.0, abs=1e-9)
-        press = values[t_idx, 23]  # mouthPressL
+        assert values[t_idx, JAW] == pytest.approx(0.0, abs=1e-9)
+        press = values[t_idx, MOUTH_CHANNELS.index("mouthPressL")]
         assert press == pytest.approx(1.0, abs=1e-9)
         assert voicing[t_idx] == pytest.approx(1.0, abs=1e-9)
 
@@ -299,7 +311,7 @@ class TestLipsync:
 
     def test_unknown_phoneme_uses_other_pose(self):
         values, _ = lipsync([ev("zz", 0.0, 0.5)], 30.0, 0.5)
-        jaw = values[:, 15]
+        jaw = values[:, JAW]
         assert jaw.max() == pytest.approx(0.25, abs=1e-9)
 
     def test_values_bounded_by_voicing_scaled_table(self):

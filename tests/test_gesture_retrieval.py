@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toonmotion.bvh import parse_bvh, serialize_bvh
 from toonmotion.errors import MalformedEntry, MissingClip, NoNeutralGesture
 from toonmotion.gesture_retrieval import (
     GestureCategory,
@@ -21,7 +22,7 @@ from toonmotion.gesture_retrieval import (
 from toonmotion.pipeline import Config
 from toonmotion.text_semantics import PhraseSpan, cosine_similarity, embed
 
-from conftest import FIXTURES, GOLDENS
+from conftest import FIXTURES, GOLDENS, constant_clip, identity_quats, make_skeleton
 
 
 def span(text, ordinal=0):
@@ -130,6 +131,28 @@ class TestLoading:
         with pytest.raises(MalformedEntry) as info:
             load_gesture_dataset(path, embedder)
         assert info.value.line == 2
+
+    def odd_clip_row(self, tmp_path, clip):
+        (tmp_path / "clips").mkdir(exist_ok=True)
+        (tmp_path / "clips" / "odd.bvh").write_bytes(serialize_bvh(clip))
+        return row("g_odd", "odd", clip="clips/odd.bvh", duration_s=clip.duration_s)
+
+    def test_skeleton_mismatch_rejected(self, tmp_path, embedder):
+        odd = constant_clip(make_skeleton(3), identity_quats(3))
+        path = write_dataset(tmp_path, [NEUTRAL_ROW, self.odd_clip_row(tmp_path, odd)])
+        with pytest.raises(MalformedEntry, match="'g_odd' skeleton differs") as info:
+            load_gesture_dataset(path, embedder)
+        assert (info.value.file, info.value.line, info.value.field) == (path, 2, "clip")
+
+    def test_fps_mismatch_rejected(self, tmp_path, embedder):
+        # The fixture clip at 60 fps over the same 1.2 s.
+        hello = parse_bvh((FIXTURES / "gestures" / "clips" / "g_hello.bvh").read_bytes())
+        odd = constant_clip(hello.skeleton, hello.rotations[0], frame_count=73, fps=60.0)
+        path = write_dataset(tmp_path, [NEUTRAL_ROW, self.odd_clip_row(tmp_path, odd)])
+        with pytest.raises(MalformedEntry,
+                           match=r"'g_odd' fps 59\.99\d* != 30\.0") as info:
+            load_gesture_dataset(path, embedder)
+        assert (info.value.file, info.value.line, info.value.field) == (path, 2, "clip")
 
     def test_duration_must_match_clip(self, tmp_path, embedder):
         # g_hello.bvh runs 1.2 s at 30 fps; the limit is half a frame.

@@ -9,7 +9,7 @@ import pytest
 
 from toonmotion.bvh import GestureClip
 from toonmotion.curves import smoothstep
-from toonmotion.errors import FpsMismatch, SkeletonMismatch, ValidationError
+from toonmotion.errors import ValidationError
 from toonmotion.motion_compose import retime_to_speech, stitch_clips
 from toonmotion.pipeline import Config
 from toonmotion.quat import euler_deg_to_quat, normalize, slerp
@@ -119,19 +119,6 @@ class TestStitch:
         track = stitch_clips(clips, blend_s=Config.blend_s)
         norms = np.linalg.norm(track.rotations, axis=-1)
         assert np.max(np.abs(norms - 1.0)) < 1e-5
-
-    def test_skeleton_mismatch_rejected(self):
-        a = constant_clip(make_skeleton(2), identity_quats(2))
-        b = constant_clip(make_skeleton(3), identity_quats(3))
-        with pytest.raises(SkeletonMismatch):
-            stitch_clips([a, b], blend_s=Config.blend_s)
-
-    def test_fps_mismatch_rejected(self):
-        skeleton = make_skeleton(2)
-        a = constant_clip(skeleton, identity_quats(2), fps=30)
-        b = constant_clip(skeleton, identity_quats(2), fps=24)
-        with pytest.raises(FpsMismatch):
-            stitch_clips([a, b], blend_s=Config.blend_s)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):

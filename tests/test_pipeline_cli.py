@@ -185,6 +185,17 @@ class TestConfig:
         assert err.startswith("error:") and "finite" in err
         assert "Traceback" not in err
 
+    def test_fps_must_match_the_gesture_library(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main([
+            "synthesize", "--text", "Hello there.", "--duration", "3.0",
+            "--config", str(write_config(tmp_path, fps=24.0)), "--out", str(out),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "config fps 24.0" in err and "library's 30.0" in err
+        assert not out.exists()
+
 
 def tmp_dirs(tmp_path):
     (tmp_path / "a").mkdir()
