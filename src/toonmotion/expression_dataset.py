@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Collection, Iterator
 
@@ -25,7 +26,7 @@ from .errors import (
     ProviderError,
     UnknownOption,
 )
-from .jsonutil import atomic_write_text, canonical_json, iter_jsonl, read_json
+from .jsonutil import atomic_write_text, canonical_json, iter_jsonl, json_value, read_json
 
 log = logging.getLogger(__name__)
 
@@ -394,26 +395,38 @@ def parse_source_fixture(
     image_id = raw.get("image_id")
     if not isinstance(image_id, str) or not image_id:
         raise MalformedEntry("missing image_id", field="image_id")
-    dialogue = raw.get("dialogue")
-    if dialogue is not None and not isinstance(dialogue, str):
-        raise MalformedEntry("dialogue must be a string or null", field="dialogue")
+    dialogue = json_value(raw.get("dialogue"), str, "dialogue",
+                          partial(MalformedEntry, field="dialogue"), nullable=True)
 
-    tags_raw = raw.get("tags", [])
-    if not isinstance(tags_raw, list):
-        raise MalformedEntry("tags must be a list", field="tags")
+    bad_tags = partial(MalformedEntry, field="tags")
     tags = []
-    for item in tags_raw:
-        if not isinstance(item, dict) or "tag" not in item or "confidence" not in item:
+    for item in json_value(raw.get("tags", []), list, "tags", bad_tags):
+        item = json_value(item, dict, "tag item", bad_tags)
+        if "tag" not in item or "confidence" not in item:
             raise MalformedEntry("tag items need 'tag' and 'confidence'", field="tags")
-        conf = float(item["confidence"])
-        if not np.isfinite(conf) or not 0.0 <= conf <= 1.0:
+        name = json_value(item["tag"], str, "tag", bad_tags)
+        conf = json_value(item["confidence"], float, "tag confidence", bad_tags)
+        if not 0.0 <= conf <= 1.0:
             raise MalformedEntry(f"tag confidence {conf} out of range", field="tags")
-        tags.append(Tag(tag=str(item["tag"]).lower(), confidence=conf))
+        tags.append(Tag(tag=name.lower(), confidence=conf))
 
-    lm_raw = raw.get("landmarks")
-    if not isinstance(lm_raw, dict) or "points" not in lm_raw or "bbox" not in lm_raw:
+    bad_landmarks = partial(MalformedEntry, field="landmarks")
+    lm_raw = json_value(raw.get("landmarks"), dict, "landmarks", bad_landmarks)
+    if "points" not in lm_raw or "bbox" not in lm_raw:
         raise MalformedEntry("landmarks need 'points' and 'bbox'", field="landmarks")
-    landmarks = LandmarkSet(points=lm_raw["points"], bbox=tuple(lm_raw["bbox"]))
+    points = json_value(lm_raw["points"], list, "landmark points", bad_landmarks)
+    for i, point in enumerate(points):
+        what = f"landmark point {i}"
+        if len(json_value(point, list, what, bad_landmarks)) != 2:
+            raise MalformedEntry(f"{what} must be [x, y]", field="landmarks")
+        for v in point:
+            json_value(v, float, what, bad_landmarks)
+    bbox = json_value(lm_raw["bbox"], list, "bbox", bad_landmarks)
+    if len(bbox) != 4:
+        raise MalformedEntry("bbox must be [x0, y0, x1, y1]", field="landmarks")
+    for v in bbox:
+        json_value(v, float, "bbox", bad_landmarks)
+    landmarks = LandmarkSet(points=points, bbox=tuple(bbox))
 
     return image_id, dialogue, tags, landmarks, answer_poses(raw.get("answers", {}))
 
@@ -538,36 +551,25 @@ def validate_entry(entry: ExpressionEntry, categories: Collection[str]) -> list[
     return violations
 
 
-def _float_map(raw: dict, key: str, line_no: int | None) -> dict[str, float]:
-    value = raw[key]
-    if not isinstance(value, dict):
-        raise MalformedEntry(f"field {key!r} must be an object", line=line_no, field=key)
-    try:
-        return {name: float(v) for name, v in value.items()}
-    except (TypeError, ValueError):
-        raise MalformedEntry(
-            f"field {key!r} has a non-numeric value", line=line_no, field=key
-        ) from None
-
-
 def parse_expression_record(raw: dict, line_no: int | None = None) -> ExpressionEntry:
     """Build an entry from one decoded expression JSONL record.
 
-    Checks the record's structure and casts its weights; value ranges and
-    channel invariants are :func:`validate_entry`'s job.
+    Checks the record's structure and the JSON kinds of its fields; value
+    ranges and channel invariants are :func:`validate_entry`'s job.
     """
-    for key in ("id", "blendshapes", "emotions", "source"):
+    fields = {}
+    for key, kind in (("id", str), ("blendshapes", dict), ("emotions", dict),
+                      ("source", dict)):
         if key not in raw:
             raise MalformedEntry(f"missing field {key!r}", line=line_no, field=key)
-    if not isinstance(raw["source"], dict):
-        raise MalformedEntry("field 'source' must be an object", line=line_no,
-                             field="source")
-    return ExpressionEntry(
-        id=str(raw["id"]),
-        blendshapes=_float_map(raw, "blendshapes", line_no),
-        emotions=_float_map(raw, "emotions", line_no),
-        source=raw["source"],
-    )
+        bad = partial(MalformedEntry, line=line_no, field=key)
+        fields[key] = json_value(raw[key], kind, f"field {key!r}", bad)
+        if key in ("blendshapes", "emotions"):
+            fields[key] = {
+                name: json_value(weight, float, f"field {key!r} weight {name!r}", bad)
+                for name, weight in fields[key].items()
+            }
+    return ExpressionEntry(**fields)
 
 
 def check_expression_records(

@@ -31,7 +31,7 @@ from .expression_dataset import (
     has_overlay_eyes,
     restrict_emotion_response,
 )
-from .jsonutil import read_json
+from .jsonutil import json_value, read_json
 from .providers import packaged_data_path
 from .text_semantics import cosine_similarity
 
@@ -85,17 +85,19 @@ def validate_phonemes(events: list[PhonemeEvent]):
 
 def load_phoneme_file(path: str | Path) -> list[PhonemeEvent]:
     """Read a JSON phoneme timeline: [{"ph": str, "start": num, "end": num}]."""
-    raw = read_json(path)
-    if not isinstance(raw, list):
-        raise ValidationError("phoneme file must be a JSON array")
+    raw = json_value(read_json(path), list, f"{path}: phoneme file", ValidationError)
     events = []
-    for item in raw:
-        try:
-            events.append(
-                PhonemeEvent(str(item["ph"]), float(item["start"]), float(item["end"]))
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"bad phoneme item {item!r}: {exc}") from exc
+    for i, item in enumerate(raw):
+        where = f"{path}: phoneme {i}"
+        item = json_value(item, dict, where, ValidationError)
+        for key in ("ph", "start", "end"):
+            if key not in item:
+                raise ValidationError(f"{where} is missing {key!r}")
+        events.append(PhonemeEvent(
+            json_value(item["ph"], str, f"{where} 'ph'", ValidationError),
+            json_value(item["start"], float, f"{where} 'start'", ValidationError),
+            json_value(item["end"], float, f"{where} 'end'", ValidationError),
+        ))
     validate_phonemes(events)
     return events
 
@@ -178,27 +180,20 @@ def fallback_phonemes(text: str, duration_s: float) -> list[PhonemeEvent]:
 
 def load_viseme_table(path: str | Path | None = None) -> dict[str, dict[str, float]]:
     path = packaged_data_path("viseme_table.json") if path is None else Path(path)
-    table = read_json(path)
-    if not isinstance(table, dict) or "sil" not in table or "other" not in table:
-        raise ValidationError(
-            "viseme table must be an object defining 'sil' and 'other'"
-        )
+    table = json_value(read_json(path), dict, f"{path}: viseme table", ValidationError)
+    if "sil" not in table or "other" not in table:
+        raise ValidationError(f"{path}: viseme table must define 'sil' and 'other'")
     for ph, pose in table.items():
-        if not isinstance(pose, dict):
-            raise ValidationError(f"viseme {ph!r} must be an object of channel weights")
-        for name, weight in pose.items():
+        where = f"{path}: viseme {ph!r}"
+        for name, weight in json_value(pose, dict, where, ValidationError).items():
             if name not in _MOUTH_COLUMN:
                 raise ValidationError(
-                    f"viseme {ph!r} uses {name!r}, which is not a mouth channel"
-                )
-            try:
-                in_range = 0.0 <= float(weight) <= 1.0
-            except (TypeError, ValueError):
-                in_range = False
-            if not in_range:
+                    f"{where} uses {name!r}, which is not a mouth channel")
+            weight = json_value(weight, float, f"{where} weight on {name!r}",
+                                ValidationError)
+            if not 0.0 <= weight <= 1.0:
                 raise ValidationError(
-                    f"viseme {ph!r} weight {weight!r} on {name!r} is not in [0, 1]"
-                )
+                    f"{where} weight {weight} on {name!r} is not in [0, 1]")
     return table
 
 

@@ -19,13 +19,14 @@ import random
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .bvh import GestureClip, parse_bvh
 from .errors import MalformedEntry, MissingClip, NoNeutralGesture
-from .jsonutil import iter_jsonl
+from .jsonutil import iter_jsonl, json_value
 from .text_semantics import PhraseSpan, embed, segment_phrases
 
 FPS_REL_TOL = 1e-6
@@ -98,19 +99,9 @@ class GestureDataset:
         return winner, min(max(best, -1.0), 1.0)
 
 
-def _require(raw: dict, key: str, kind, line: int):
-    if key not in raw:
-        raise MalformedEntry(f"missing field {key!r}", line=line, field=key)
-    value = raw[key]
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise MalformedEntry(f"field {key!r} must be a number", line=line, field=key)
-        return float(value)
-    if not isinstance(value, kind):
-        raise MalformedEntry(
-            f"field {key!r} must be {kind.__name__}", line=line, field=key
-        )
-    return value
+# The fields of a gesture record and their JSON kinds.
+_FIELDS = {"id": str, "phrase": str, "category": str, "neutral": bool,
+           "clip": str, "duration_s": float}
 
 
 def load_gesture_dataset(path: str | Path, embedder) -> GestureDataset:
@@ -125,7 +116,15 @@ def load_gesture_dataset(path: str | Path, embedder) -> GestureDataset:
     clips: dict[str, GestureClip] = {}
     try:
         for line_no, raw in records:
-            entry_id = _require(raw, "id", str, line_no)
+            for key in _FIELDS:
+                if key not in raw:
+                    raise MalformedEntry(f"missing field {key!r}", line=line_no,
+                                         field=key)
+            entry_id, phrase, category_raw, neutral, clip_rel, duration_s = (
+                json_value(raw[key], kind, f"field {key!r}",
+                           partial(MalformedEntry, line=line_no, field=key))
+                for key, kind in _FIELDS.items()
+            )
             if not entry_id:
                 raise MalformedEntry("empty id", line=line_no, field="id")
             if entry_id in seen_ids:
@@ -133,11 +132,9 @@ def load_gesture_dataset(path: str | Path, embedder) -> GestureDataset:
                                      field="id")
             seen_ids.add(entry_id)
 
-            phrase = _require(raw, "phrase", str, line_no)
             if not phrase:
                 raise MalformedEntry("empty phrase", line=line_no, field="phrase")
 
-            category_raw = _require(raw, "category", str, line_no)
             try:
                 category = GestureCategory(category_raw)
             except ValueError:
@@ -145,7 +142,6 @@ def load_gesture_dataset(path: str | Path, embedder) -> GestureDataset:
                     f"unknown category {category_raw!r}", line=line_no, field="category"
                 ) from None
 
-            neutral = _require(raw, "neutral", bool, line_no)
             if neutral != (category is GestureCategory.NEUTRAL):
                 raise MalformedEntry(
                     "neutral flag must match the neutral category",
@@ -153,8 +149,6 @@ def load_gesture_dataset(path: str | Path, embedder) -> GestureDataset:
                     field="neutral",
                 )
 
-            clip_rel = _require(raw, "clip", str, line_no)
-            duration_s = _require(raw, "duration_s", float, line_no)
             if duration_s <= 0:
                 raise MalformedEntry(
                     "duration_s must be positive", line=line_no, field="duration_s"

@@ -1,4 +1,5 @@
-"""Canonical JSON output, JSON and JSONL reading and atomic file writes.
+"""Canonical JSON output, JSON and JSONL reading, JSON field checks and
+atomic file writes.
 
 Every JSON artifact this package emits (datasets, reports, face tracks,
 manifests) goes through :func:`canonical_json` so repeated runs produce
@@ -14,6 +15,7 @@ import io
 import json
 import math
 import os
+import sys
 import tempfile
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
@@ -58,8 +60,6 @@ def _encode(obj: Any, out: list[str]) -> None:
         out.append(json.dumps(obj))
     elif isinstance(obj, str):
         out.append(json.dumps(obj, ensure_ascii=False))
-    elif isinstance(obj, bool):  # pragma: no cover - caught above
-        out.append(json.dumps(obj))
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
@@ -155,6 +155,35 @@ def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
             raise MalformedEntry("entry must be a JSON object", line=line_no,
                                  file=path)
         yield line_no, raw
+
+
+_FLOAT_MAX = sys.float_info.max
+_KINDS = {str: "a string", bool: "a boolean", int: "an integer", float: "a number",
+          list: "an array", dict: "an object"}
+
+
+def json_value(value: Any, kind: type, what: str,
+               error: Callable[[str], Exception], *, nullable: bool = False) -> Any:
+    """Return the decoded JSON *value* if it is a *kind*, or None with
+    *nullable*; else raise ``error(message)``, the message starting with *what*.
+
+    The kinds are ``str``, ``bool``, ``int`` (a JSON integer), ``float`` (a
+    JSON number: a finite integer or real, returned as a float), ``list`` and
+    ``dict``. A boolean is only a ``bool``, never an ``int`` or ``float``.
+    """
+    if type(value) is kind:  # exact, as JSON decodes: True is not an int here
+        if kind is not float or math.isfinite(value):
+            return value
+    elif kind is float and type(value) is int:
+        if abs(value) <= _FLOAT_MAX:
+            return float(value)
+    elif value is None and nullable:
+        return None
+    else:
+        scalar = value is None or isinstance(value, (bool, int, float))
+        got = json.dumps(value) if scalar else _KINDS.get(type(value), "another type")
+        raise error(f"{what} must be {_KINDS[kind]}{' or null' * nullable}, not {got}")
+    raise error(f"{what} is non-finite: {value!r}")
 
 
 def atomic_write_files(files: Iterable[tuple[str | Path, bytes]]) -> None:

@@ -13,6 +13,7 @@ import os
 import random
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from . import __version__
 from .bvh import serialize_bvh
@@ -28,7 +29,7 @@ from .face_engine import (
     schedule_blinks,
 )
 from .gesture_retrieval import FPS_REL_TOL, load_gesture_dataset, retrieve_text
-from .jsonutil import atomic_write_files, canonical_json, read_json
+from .jsonutil import atomic_write_files, canonical_json, json_value, read_json
 from .motion_compose import retime_to_speech, stitch_clips
 from .providers import (
     FallbackEmotionProvider,
@@ -102,19 +103,10 @@ class Config:
                 raise ConfigError(f"{label} file not found: {path}")
 
 
-# The config file's keys are Config's public fields; annotations name the
-# cast applied on load ("Path" fields resolve against the config directory).
+# The config file's keys are Config's public fields, each of the JSON kind of
+# its annotation; "Path" fields are strings resolved against the config directory.
 _CONFIG_FIELDS = [f for f in fields(Config) if not f.name.startswith("_")]
-
-
-def _require_bool(value):
-    # bool() would read the string "false" as True.
-    if not isinstance(value, bool):
-        raise TypeError("not a JSON boolean")
-    return value
-
-
-_CONFIG_CASTS = {"str": str, "bool": _require_bool, "float": float, "int": int}
+_CONFIG_TYPES = get_type_hints(Config)
 
 
 def _normalize_config_dict(config: "Config") -> dict:
@@ -129,9 +121,7 @@ def load_config(path: str | Path) -> Config:
     (TOONMOTION_EMBED_ENDPOINT / TOONMOTION_EMOTION_ENDPOINT).
     """
     path = Path(path)
-    raw = read_json(path, ConfigError)
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
+    raw = json_value(read_json(path, ConfigError), dict, "config", ConfigError)
 
     unknown = set(raw) - {f.name for f in _CONFIG_FIELDS}
     if unknown:
@@ -151,14 +141,13 @@ def load_config(path: str | Path) -> Config:
 
     values = {}
     for f in _CONFIG_FIELDS:
-        value = merged[f.name]
-        try:
-            if f.type.startswith("Path"):
-                value = None if value is None else path.parent / value
-            elif f.type in _CONFIG_CASTS:
-                value = _CONFIG_CASTS[f.type](value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"config key {f.name!r} has invalid value {value!r}") from None
+        hint = _CONFIG_TYPES[f.name]
+        nullable = type(None) in get_args(hint)
+        kind = get_args(hint)[0] if nullable else hint
+        value = json_value(merged[f.name], str if kind is Path else kind,
+                           f"config key {f.name!r}", ConfigError, nullable=nullable)
+        if kind is Path and value is not None:
+            value = path.parent / value
         values[f.name] = value
     config = Config(**values)
     # Hash the pre-resolution values so the hash does not depend on where

@@ -14,7 +14,6 @@ ProviderUnavailable once retries are exhausted.
 from __future__ import annotations
 
 import logging
-import math
 import re
 import time
 from importlib import resources
@@ -24,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, ProviderUnavailable, ValidationError
-from .jsonutil import read_json
+from .jsonutil import json_value, read_json
 from .text_semantics import REFERENCE_DIM, reference_embed
 
 log = logging.getLogger(__name__)
@@ -42,17 +41,14 @@ def packaged_data_path(name: str) -> Path:
 def load_emotion_categories(path: str | Path | None = None) -> list[str]:
     """The category list at *path*, else the packaged list of 130 names."""
     path = packaged_data_path("emotion_categories.json") if path is None else Path(path)
-    names = read_json(path)
-    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-        raise ValidationError(
-            f"{path}: emotion categories must be a JSON array of strings"
-        )
-    return names
+    names = json_value(read_json(path), list, f"{path}: emotion categories",
+                       ValidationError)
+    return [json_value(name, str, f"{path}: emotion category {i}", ValidationError)
+            for i, name in enumerate(names)]
 
 
-def load_emotion_lexicon(path: str | Path | None = None) -> dict[str, dict[str, float]]:
-    path = packaged_data_path("emotion_lexicon.json") if path is None else Path(path)
-    return read_json(path)
+def load_emotion_lexicon() -> dict[str, dict[str, float]]:
+    return read_json(packaged_data_path("emotion_lexicon.json"))
 
 
 class ReferenceEmbedder:
@@ -157,30 +153,27 @@ class HttpEmbeddingProvider(_HttpClient):
     dim: int | None = None
 
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
-        body = self._post("/v1/embed", {"texts": list(texts)})
-        try:
-            vectors = list(body["vectors"])
-            dim = int(body["dim"])
-            self.model = str(body.get("model", self.model))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProviderUnavailable(f"malformed embed response: {exc}") from exc
+        body = json_value(self._post("/v1/embed", {"texts": list(texts)}), dict,
+                          "embed response", ProviderUnavailable)
+        vectors = json_value(body.get("vectors"), list, "embed response 'vectors'",
+                             ProviderUnavailable)
+        dim = json_value(body.get("dim"), int, "embed response 'dim'",
+                         ProviderUnavailable)
+        self.model = json_value(body.get("model", self.model), str,
+                                "embed response 'model'", ProviderUnavailable)
         if self.dim is None:
             self.dim = dim
         elif dim != self.dim:
             raise DimensionMismatch(f"provider dim changed from {self.dim} to {dim}")
         out = []
         for vec in vectors:
-            try:
-                arr = np.asarray(vec, dtype=np.float64)
-            except (TypeError, ValueError) as exc:
-                raise ProviderUnavailable(f"malformed embed vector: {exc}") from exc
-            if arr.shape != (dim,):
+            vec = json_value(vec, list, "embed vector", ProviderUnavailable)
+            if len(vec) != dim:
                 raise DimensionMismatch(
-                    f"vector shape {arr.shape} does not match declared dim {dim}"
+                    f"vector length {len(vec)} does not match declared dim {dim}"
                 )
-            if not np.isfinite(arr).all():
-                raise ProviderUnavailable("malformed embed vector: non-finite value")
-            out.append(arr)
+            out.append(np.array([json_value(v, float, "embed vector value",
+                                            ProviderUnavailable) for v in vec]))
         return out
 
 
@@ -189,16 +182,11 @@ class HttpEmotionProvider(_HttpClient):
 
     def infer(self, text: str, image_ref: str | None = None) -> dict[str, float]:
         body = self._post("/v1/emotion", {"text": text, "image_ref": image_ref})
-        emotions = body.get("emotions") if isinstance(body, dict) else None
-        if not isinstance(emotions, dict):
-            raise ProviderUnavailable("malformed emotion response: missing 'emotions'")
-        try:
-            out = {str(k): float(v) for k, v in emotions.items()}
-        except (TypeError, ValueError) as exc:
-            raise ProviderUnavailable(f"malformed emotion response: {exc}") from exc
-        if not all(math.isfinite(v) for v in out.values()):
-            raise ProviderUnavailable("malformed emotion response: non-finite value")
-        return out
+        body = json_value(body, dict, "emotion response", ProviderUnavailable)
+        emotions = json_value(body.get("emotions"), dict, "emotion response 'emotions'",
+                              ProviderUnavailable)
+        return {name: json_value(v, float, f"emotion {name!r}", ProviderUnavailable)
+                for name, v in emotions.items()}
 
 
 class FallbackEmotionProvider:

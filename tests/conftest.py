@@ -31,6 +31,18 @@ def gesture_dataset(embedder):
     return load_gesture_dataset(FIXTURES / "gestures" / "gestures.jsonl", embedder)
 
 
+def put(doc, path: tuple, value):
+    """*doc* with the value at *path* (keys and indexes) replaced by *value*;
+    the empty path replaces the whole document."""
+    if not path:
+        return value
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[path[-1]] = value
+    return doc
+
+
 def make_skeleton(n_joints: int = 2) -> Skeleton:
     joints = [Joint("Hips", -1, np.array([0.0, 90.0, 0.0]), "ZXY", has_position=True)]
     for i in range(1, n_joints):

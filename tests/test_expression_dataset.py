@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 import shutil
 
 import pytest
@@ -36,7 +37,7 @@ from toonmotion.expression_dataset import (
 )
 from toonmotion.providers import LexiconEmotionProvider, load_emotion_categories
 
-from conftest import FIXTURES, GOLDENS
+from conftest import FIXTURES, GOLDENS, put
 
 CATEGORIES = frozenset(load_emotion_categories())
 
@@ -371,6 +372,19 @@ class TestEmotionRestriction:
             restrict_emotion_response({"Zeal": 0.9}, self.KNOWN)
 
 
+# Each case: where a source fixture gets a value of the wrong kind, the
+# value, and the field its error names.
+MISTYPED_SOURCE_FIELDS = {
+    "confidence_word": (("tags", 0, "confidence"), "high", "tags"),
+    "confidence_numeric_string": (("tags", 0, "confidence"), "0.9", "tags"),
+    "confidence_boolean": (("tags", 0, "confidence"), True, "tags"),
+    "tag_number": (("tags", 0, "tag"), 5, "tags"),
+    "bbox_three_values": (("landmarks", "bbox"), [0, 0, 1], "landmarks"),
+    "bbox_infinite": (("landmarks", "bbox"), [0, 0, math.inf, math.inf], "landmarks"),
+    "point_string_coordinate": (("landmarks", "points", 3), ["x", 1], "landmarks"),
+}
+
+
 class TestSourceParsing:
     def good_fixture(self):
         return {
@@ -413,6 +427,13 @@ class TestSourceParsing:
         raw["dialogue"] = None
         _, dialogue, _, _, _ = parse_source_fixture(raw)
         assert dialogue is None
+
+    @pytest.mark.parametrize("case", sorted(MISTYPED_SOURCE_FIELDS))
+    def test_mistyped_value_names_its_field(self, case):
+        path, value, field = MISTYPED_SOURCE_FIELDS[case]
+        with pytest.raises(MalformedEntry) as info:
+            parse_source_fixture(put(self.good_fixture(), path, value))
+        assert info.value.field == field
 
 
 class TestAnnotation:
@@ -487,6 +508,20 @@ class TestBuild:
         assert len(report.rejects) == 1
         assert report.rejects[0]["file"] == "img03.json"
         assert "img03" not in [e.id for e in entries]
+
+    @pytest.mark.parametrize("case", sorted(MISTYPED_SOURCE_FIELDS))
+    def test_mistyped_fixture_rejected_naming_the_field(self, tmp_path, case):
+        path, value, field = MISTYPED_SOURCE_FIELDS[case]
+        src = tmp_path / "sources"
+        shutil.copytree(FIXTURES / "expression_sources", src)
+        raw = json.loads((src / "img01.json").read_text(encoding="utf-8"))
+        (src / "img01.json").write_text(json.dumps(put(raw, path, value)),
+                                        encoding="utf-8")
+        entries, report = build_dataset(src, LexiconEmotionProvider(),
+                                        categories=load_emotion_categories())
+        assert report.total == 9
+        assert [r["file"] for r in report.rejects] == ["img01.json"]
+        assert report.rejects[0]["error"].endswith(f"(field: {field})")
 
     def test_report_does_not_depend_on_the_source_directory(self, tmp_path, capsys):
         reports = []

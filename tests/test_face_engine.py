@@ -191,6 +191,18 @@ class TestPhonemeValidation:
         with pytest.raises(ValidationError):
             load_phoneme_file(path)
 
+    @pytest.mark.parametrize("item", [
+        {"ph": 5, "start": 0.0, "end": 0.5},
+        {"ph": "a", "start": True, "end": 2.0},
+        {"ph": "a", "start": 0.0, "end": "0.5"},
+    ], ids=["ph_number", "start_boolean", "end_string"])
+    def test_load_rejects_mistyped_fields(self, tmp_path, item):
+        path = tmp_path / "ph.json"
+        path.write_text(json.dumps([item]), encoding="utf-8")
+        with pytest.raises(ValidationError, match=r"phoneme 0 '\w+' must be") as info:
+            load_phoneme_file(path)
+        assert str(path) in str(info.value)
+
     @pytest.mark.parametrize("start,end", [
         (math.nan, 0.5), (0.0, math.nan), (-math.inf, 0.5), (0.0, math.inf),
     ])
@@ -254,6 +266,14 @@ class TestVisemeTable:
             "sil": {}, "other": {"jawWiggle": 0.3},
         }), encoding="utf-8")
         with pytest.raises(ValidationError):
+            load_viseme_table(path)
+
+    @pytest.mark.parametrize("weight", ["0.5", True], ids=["string", "boolean"])
+    def test_rejects_non_number_weight(self, tmp_path, weight):
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps({"sil": {}, "other": {"jawOpen": weight}}),
+                        encoding="utf-8")
+        with pytest.raises(ValidationError, match="'other' weight on 'jawOpen' must be"):
             load_viseme_table(path)
 
     def test_rejects_channel_outside_the_mouth(self, tmp_path):

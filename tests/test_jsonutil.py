@@ -1,4 +1,7 @@
-"""canonical_json float tables, and the JSON and JSONL readers."""
+"""canonical_json float tables, the JSON and JSONL readers and the field
+reader."""
+
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toonmotion.errors import MalformedEntry, ValidationError
-from toonmotion.jsonutil import FORMAT_BLOCK_ROWS, canonical_json, iter_jsonl, read_json
+from toonmotion.jsonutil import (
+    FORMAT_BLOCK_ROWS,
+    canonical_json,
+    iter_jsonl,
+    json_value,
+    read_json,
+)
 
 from conftest import awkward_floats
 
@@ -98,3 +107,46 @@ class TestReaders:
         with pytest.raises(ValidationError, match=message) as info:
             read_json(path)
         assert str(info.value).startswith(f"{path}: ")
+
+
+class TestFieldReader:
+    @pytest.mark.parametrize("value, kind, expected", [
+        ("a", str, "a"), (True, bool, True), (False, bool, False), (3, int, 3),
+        (-(10**30), int, -(10**30)), (3, float, 3.0), (0.5, float, 0.5),
+        ([1], list, [1]), ({"a": 1}, dict, {"a": 1}),
+    ])
+    def test_accepts_its_kind(self, value, kind, expected):
+        result = json_value(value, kind, "x", ValidationError)
+        assert result == expected and type(result) is type(expected)
+
+    @pytest.mark.parametrize("value, kind, got", [
+        (True, int, "true"), (False, float, "false"), (1, bool, "1"),
+        ("0.5", float, "a string"), (2.7, int, "2.7"), (2.0, int, "2.0"),
+        (5, str, "5"), ([1], str, "an array"), ({}, list, "an object"),
+        (None, float, "null"), ("a", dict, "a string"),
+    ])
+    def test_rejects_any_other_value(self, value, kind, got):
+        with pytest.raises(ValidationError) as info:
+            json_value(value, kind, "field 'x'", ValidationError)
+        assert str(info.value).startswith("field 'x' must be ")
+        assert str(info.value).endswith(f", not {got}")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400])
+    def test_non_finite_number_rejected(self, value):
+        with pytest.raises(ValidationError, match="^x is non-finite: "):
+            json_value(value, float, "x", ValidationError)
+
+    def test_null_only_when_nullable(self):
+        assert json_value(None, str, "x", ValidationError, nullable=True) is None
+        with pytest.raises(ValidationError, match="must be a string or null, not 5$"):
+            json_value(5, str, "x", ValidationError, nullable=True)
+
+    def test_caller_builds_the_error(self):
+        def error(message):
+            return MalformedEntry(message, line=7, field="x")
+
+        with pytest.raises(MalformedEntry) as info:
+            json_value("1", int, "field 'x'", error)
+        assert (info.value.line, info.value.field) == (7, "x")
+        assert str(info.value) == (
+            "line 7: field 'x' must be an integer, not a string (field: x)")

@@ -185,6 +185,28 @@ class TestConfig:
         assert err.startswith("error:") and "finite" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("key, value", [
+        ("embed_endpoint", 5), ("fps", "30"), ("similarity_threshold", True),
+        ("retries", 2.7), ("fps", 10**400),
+    ], ids=["embed_endpoint_number", "fps_string", "threshold_boolean",
+            "retries_real", "fps_beyond_float_range"])
+    def test_mistyped_value_exits_1(self, tmp_path, capsys, monkeypatch, key, value):
+        monkeypatch.delenv("TOONMOTION_EMBED_ENDPOINT", raising=False)
+        overrides = {key: value}
+        if key == "embed_endpoint":
+            overrides.update(provider_mode="remote",
+                             emotion_endpoint="http://localhost:1/m")
+        code = main([
+            "synthesize", "--text", "Hello there.", "--duration", "2.0",
+            "--config", str(write_config(tmp_path, **overrides)),
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config key {key!r} ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_fps_must_match_the_gesture_library(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = main([
@@ -642,6 +664,17 @@ class TestCli:
         capsys.readouterr()
 
 
+# Each case: how line 3 of an expression file breaks, and the field named.
+MALFORMED_EXPRESSION_RECORDS = {
+    "non_object": None,
+    "non_numeric_blendshape": "blendshapes",
+    "missing_id": "id",
+    "list_id": "id",
+    "string_weight": "blendshapes",
+    "boolean_weight": "emotions",
+}
+
+
 def _malformed_expression_file(tmp_path, kind):
     """A valid record, a blank line, then one malformed record on line 3."""
     good = json.loads(
@@ -653,6 +686,12 @@ def _malformed_expression_file(tmp_path, kind):
         bad = 42
     elif kind == "non_numeric_blendshape":
         bad["blendshapes"]["jawOpen"] = "wide"
+    elif kind == "list_id":
+        bad["id"] = [1]
+    elif kind == "string_weight":
+        bad["blendshapes"]["jawOpen"] = "0.5"
+    elif kind == "boolean_weight":
+        bad["emotions"][next(iter(bad["emotions"]))] = True
     else:
         del bad["id"]
     path = tmp_path / "bad.jsonl"
@@ -661,7 +700,7 @@ def _malformed_expression_file(tmp_path, kind):
     return path
 
 
-@pytest.mark.parametrize("kind", ["non_object", "non_numeric_blendshape", "missing_id"])
+@pytest.mark.parametrize("kind", sorted(MALFORMED_EXPRESSION_RECORDS))
 @pytest.mark.parametrize("reader", ["load", "validate-dataset", "annotate-emotions"])
 def test_malformed_expression_record_reported_with_line(tmp_path, capsys, reader,
                                                         kind):
@@ -671,6 +710,7 @@ def test_malformed_expression_record_reported_with_line(tmp_path, capsys, reader
             load_expression_dataset(path, load_emotion_categories())
         assert info.value.line == 3
         assert info.value.file == path
+        assert info.value.field == MALFORMED_EXPRESSION_RECORDS[kind]
         return
     if reader == "validate-dataset":
         argv = ["validate-dataset", "--kind", "expression", "--path", str(path)]

@@ -1,0 +1,211 @@
+"""Fuzzing every JSON reader: one field of a valid document replaced by an
+arbitrary JSON value must load or raise a ToonmotionError, nothing else."""
+
+import copy
+import json
+import shutil
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from toonmotion.errors import ToonmotionError
+from toonmotion.expression_dataset import (
+    fuse_sources,
+    load_expression_dataset,
+    parse_source_fixture,
+)
+from toonmotion.face_engine import load_phoneme_file, load_viseme_table
+from toonmotion.gesture_retrieval import load_gesture_dataset
+from toonmotion.jsonutil import read_json
+from toonmotion.pipeline import load_config
+from toonmotion.providers import (
+    HttpEmbeddingProvider,
+    HttpEmotionProvider,
+    ReferenceEmbedder,
+    load_emotion_categories,
+    packaged_data_path,
+)
+
+from conftest import FIXTURES, put
+
+# Null, booleans, integers (some beyond the float range), reals with NaN and
+# both infinities, strings (some that look like numbers), arrays and objects.
+JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8),
+        st.sampled_from([10**400, -(10**400), "0.5", "NaN", "", 0, 1, 0.5, -1.0]),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    ),
+    max_leaves=6,
+)
+
+
+def replaced(doc, paths):
+    """A strategy for *doc* with the value at one of *paths* replaced."""
+    return st.tuples(st.sampled_from(paths), JSON_VALUES).map(
+        lambda pv: put(copy.deepcopy(doc), *pv))
+
+
+def loads_or_raises_package_error(read):
+    try:
+        read()
+    except ToonmotionError:
+        pass
+
+
+def write_json(path, doc):
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def write_jsonl(path, records):
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    return path
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    shutil.copytree(FIXTURES / "gestures", root / "gestures")
+    return root
+
+
+GESTURES = [json.loads(line) for line in
+            (FIXTURES / "gestures" / "gestures.jsonl").read_text("utf-8").splitlines()
+            if '"g_hello"' in line or '"n_idle1"' in line]
+GESTURE_PATHS = [()] + [(i,) for i in range(2)] + [
+    (i, key) for i in range(2) for key in GESTURES[0]]
+
+
+@given(replaced(GESTURES, GESTURE_PATHS))
+@settings(max_examples=100, deadline=None)
+def test_gesture_dataset(workdir, records):
+    if not isinstance(records, list):
+        records = [records]
+    path = write_jsonl(workdir / "gestures" / "fuzz.jsonl", records)
+    loads_or_raises_package_error(lambda: load_gesture_dataset(path, ReferenceEmbedder()))
+
+
+EXPRESSIONS = [json.loads(line) for line in
+               (FIXTURES / "expressions.jsonl").read_text("utf-8").splitlines()[:2]]
+EXPRESSION_PATHS = [(0,)] + [(0, key) for key in EXPRESSIONS[0]] + [
+    (0, "blendshapes", "jawOpen"), (0, "emotions", next(iter(EXPRESSIONS[0]["emotions"])))]
+CATEGORIES = load_emotion_categories()
+
+
+@given(replaced(EXPRESSIONS, EXPRESSION_PATHS))
+@settings(max_examples=100, deadline=None)
+def test_expression_dataset(workdir, records):
+    path = write_jsonl(workdir / "expressions.jsonl", records)
+    loads_or_raises_package_error(lambda: load_expression_dataset(path, CATEGORIES))
+
+
+SOURCE = read_json(FIXTURES / "expression_sources" / "img01.json")
+SOURCE_PATHS = [(), ("image_id",), ("dialogue",), ("tags",), ("tags", 0),
+                ("tags", 0, "tag"), ("tags", 0, "confidence"), ("landmarks",),
+                ("landmarks", "points"), ("landmarks", "bbox"), ("answers",)] + [
+    ("landmarks", "points", i) for i in (0, 13, 27)] + [
+    ("landmarks", "points", i, j) for i in (0, 13, 27) for j in (0, 1)] + [
+    ("landmarks", "bbox", k) for k in range(4)]
+
+
+@given(replaced(SOURCE, SOURCE_PATHS))
+@settings(max_examples=300, deadline=None)
+def test_source_fixture(raw):
+    def parse_and_fuse():
+        _, _, tags, landmarks, answers = parse_source_fixture(
+            json.loads(json.dumps(raw)))
+        fuse_sources(tags, landmarks, answers)
+
+    loads_or_raises_package_error(parse_and_fuse)
+
+
+PHONEMES = [{"ph": "a", "start": 0.0, "end": 0.2}, {"ph": "MBP", "start": 0.2, "end": 0.35}]
+PHONEME_PATHS = [(), (0,), (1,)] + [(i, key) for i in range(2) for key in PHONEMES[0]]
+
+
+@given(replaced(PHONEMES, PHONEME_PATHS))
+@settings(max_examples=100, deadline=None)
+def test_phoneme_file(workdir, doc):
+    path = write_json(workdir / "phonemes.json", doc)
+    loads_or_raises_package_error(lambda: load_phoneme_file(path))
+
+
+VISEMES = read_json(packaged_data_path("viseme_table.json"))
+VISEME_PATHS = [(), ("sil",), ("other",), ("a",), ("a", "jawOpen"), ("MBP", "mouthPressL")]
+
+
+@given(replaced(VISEMES, VISEME_PATHS))
+@settings(max_examples=100, deadline=None)
+def test_viseme_table(workdir, doc):
+    path = write_json(workdir / "visemes.json", doc)
+    loads_or_raises_package_error(lambda: load_viseme_table(path))
+
+
+@given(replaced(["Joy", "Awe", "Calmness"], [(), (0,), (2,)]))
+@settings(max_examples=60, deadline=None)
+def test_emotion_categories(workdir, doc):
+    path = write_json(workdir / "categories.json", doc)
+    loads_or_raises_package_error(lambda: load_emotion_categories(path))
+
+
+CONFIG = {
+    "gesture_dataset": str(FIXTURES / "gestures" / "gestures.jsonl"),
+    "expression_dataset": str(FIXTURES / "expressions.jsonl"),
+    "provider_mode": "offline", "embed_endpoint": "http://localhost:1/e",
+    "emotion_endpoint": "http://localhost:1/m", "emotion_fallback_lexicon": False,
+    "similarity_threshold": 0.55, "blend_s": 0.3, "transition_s": 0.4,
+    "blink_mean_gap_s": 4.0, "blink_min_gap_s": 1.0,
+    "viseme_table": str(packaged_data_path("viseme_table.json")),
+    "emotion_categories": str(packaged_data_path("emotion_categories.json")),
+    "fps": 30.0, "timeout_s": 10.0, "retries": 2,
+}
+
+
+@given(replaced(CONFIG, [()] + [(key,) for key in CONFIG]))
+@settings(max_examples=200, deadline=None)
+def test_config(workdir, doc):
+    path = write_json(workdir / "config.json", doc)
+    loads_or_raises_package_error(lambda: load_config(path))
+
+
+class FakeSession:
+    """Answers every POST with status 200 and *body*."""
+
+    def __init__(self, body):
+        self.body = body
+
+    def post(self, url, json=None, timeout=None):
+        return SimpleNamespace(status_code=200, json=lambda: self.body)
+
+
+def client(kind, body):
+    return kind("http://x", timeout_s=1.0, retries=0, backoff_s=0,
+                session=FakeSession(body))
+
+
+EMBED_BODY = {"vectors": [[1.0, 0.0]], "dim": 2, "model": "stub"}
+EMBED_PATHS = [(), ("vectors",), ("vectors", 0), ("vectors", 0, 0), ("vectors", 0, 1),
+               ("dim",), ("model",)]
+
+
+@given(replaced(EMBED_BODY, EMBED_PATHS))
+@settings(max_examples=150, deadline=None)
+def test_embed_response(body):
+    loads_or_raises_package_error(
+        lambda: client(HttpEmbeddingProvider, body).embed(["a"]))
+
+
+EMOTION_BODY = {"emotions": {"Joy": 0.5, "Awe": 0.25}}
+
+
+@given(replaced(EMOTION_BODY, [(), ("emotions",), ("emotions", "Joy")]))
+@settings(max_examples=100, deadline=None)
+def test_emotion_response(body):
+    loads_or_raises_package_error(
+        lambda: client(HttpEmotionProvider, body).infer("That is wonderful"))
