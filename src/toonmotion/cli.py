@@ -123,6 +123,7 @@ def _cmd_build_expressions(args) -> int:
 
 def _cmd_annotate_emotions(args) -> int:
     provider, categories = _emotion_annotator(args.config)
+    categories = frozenset(categories)
     # Violations are not checked: the emotions are about to be replaced.
     entries = [
         entry for _, entry, _ in check_expression_records(args.dataset, categories)

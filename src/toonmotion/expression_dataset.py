@@ -12,6 +12,7 @@ plus a summary report.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -115,10 +116,8 @@ MAX_EMOTIONS_PER_ENTRY = 8
 #   24-27 mouth (left corner, top, right corner, bottom)
 LANDMARK_COUNT = 28
 
-_LEFT_BROW = slice(5, 8)
-_RIGHT_BROW = slice(8, 11)
-_LEFT_EYE = slice(11, 15)
-_RIGHT_EYE = slice(15, 19)
+_BROWS = {"L": slice(5, 8), "R": slice(8, 11)}
+_EYES = {"L": slice(11, 15), "R": slice(15, 19)}
 _MOUTH_LEFT, _MOUTH_TOP, _MOUTH_RIGHT, _MOUTH_BOTTOM = 24, 25, 26, 27
 
 BBOX_SLACK = 0.2
@@ -164,38 +163,52 @@ class LandmarkSet:
         if not np.all(inside):
             bad = int(np.flatnonzero(~inside)[0])
             raise InvalidLandmarks(f"landmark {bad} outside expanded bounding box")
-        for name, sl in (("left", _LEFT_EYE), ("right", _RIGHT_EYE)):
-            if self._span_width(sl) <= 0:
+        # The geometry fuse_sources reads, computed once: the widths and the
+        # y coordinates as Python floats.
+        self.ys: list[float] = self.points[:, 1].tolist()
+        self._eye_widths = {}
+        for side, name in (("L", "left"), ("R", "right")):
+            outer, _, inner, _ = self.points[_EYES[side]]
+            self._eye_widths[side] = _width(outer, inner)
+            if self._eye_widths[side] <= 0:
                 raise InvalidLandmarks(f"degenerate {name} eye width")
-        if self.mouth_width() <= 0:
+        self._mouth_width = _width(self.points[_MOUTH_LEFT], self.points[_MOUTH_RIGHT])
+        if self._mouth_width <= 0:
             raise InvalidLandmarks("degenerate mouth width")
 
-    def _span_width(self, eye: slice) -> float:
-        pts = self.points[eye]
-        return float(np.linalg.norm(pts[0] - pts[2]))
-
     def eye_width(self, side: str) -> float:
-        return self._span_width(_LEFT_EYE if side == "L" else _RIGHT_EYE)
+        return self._eye_widths[side]
 
     def eye_gap(self, side: str) -> float:
-        pts = self.points[_LEFT_EYE if side == "L" else _RIGHT_EYE]
-        return abs(float(pts[3][1] - pts[1][1]))
+        ys = self.ys[_EYES[side]]
+        return abs(ys[3] - ys[1])
 
     def eye_center_y(self, side: str) -> float:
-        pts = self.points[_LEFT_EYE if side == "L" else _RIGHT_EYE]
-        return float(np.mean(pts[:, 1]))
+        return _mean(self.ys[_EYES[side]])
 
     def brow_y(self, side: str) -> float:
-        pts = self.points[_LEFT_BROW if side == "L" else _RIGHT_BROW]
-        return float(np.mean(pts[:, 1]))
+        return _mean(self.ys[_BROWS[side]])
 
     def mouth_width(self) -> float:
-        return float(
-            np.linalg.norm(self.points[_MOUTH_LEFT] - self.points[_MOUTH_RIGHT])
-        )
+        return self._mouth_width
 
     def mouth_gap(self) -> float:
-        return abs(float(self.points[_MOUTH_BOTTOM][1] - self.points[_MOUTH_TOP][1]))
+        return abs(self.ys[_MOUTH_BOTTOM] - self.ys[_MOUTH_TOP])
+
+
+def _width(a: np.ndarray, b: np.ndarray) -> float:
+    # Keep the 1-D np.linalg.norm, sqrt of a dot product that may use FMA:
+    # math.hypot or sqrt(dx*dx + dy*dy) can differ from it in the last bit.
+    return float(np.linalg.norm(a - b))
+
+
+def _mean(values: list[float]) -> float:
+    """np.mean of a short row, bit for bit: summed left to right from 0.0.
+    (sum() is not used: from Python 3.12 it compensates rounding.)"""
+    total = 0.0
+    for v in values:
+        total += v
+    return total / len(values)
 
 
 def answer_poses(answers) -> dict[str, dict[str, float]]:
@@ -289,12 +302,11 @@ def fuse_sources(
         landmarks.mouth_gap() / (MOUTH_GAP_SCALE * mouth_width)
     )
 
-    center_y = (
-        float(landmarks.points[_MOUTH_TOP][1]) + float(landmarks.points[_MOUTH_BOTTOM][1])
-    ) / 2.0
+    ys = landmarks.ys
+    center_y = (ys[_MOUTH_TOP] + ys[_MOUTH_BOTTOM]) / 2.0
     for side, corner in (("L", _MOUTH_LEFT), ("R", _MOUTH_RIGHT)):
         # Image y grows downward, so a corner above center means a smile.
-        lift = (center_y - float(landmarks.points[corner][1])) / mouth_width
+        lift = (center_y - ys[corner]) / mouth_width
         if lift >= 0:
             shapes[f"mouthSmile{side}"] = _clamp01(CORNER_SLOPE_GAIN * lift)
         else:
@@ -349,7 +361,7 @@ def repair_exclusivity(shapes: dict[str, float]):
 
 def restrict_emotion_response(
     response: dict[str, float],
-    known: set[str],
+    known: Collection[str],
     context: str = "",
 ) -> dict[str, float]:
     """Keep only known categories with clamped (0,1] intensities, top 8.
@@ -374,16 +386,31 @@ def restrict_emotion_response(
 def annotate_emotion(
     entry: ExpressionEntry,
     provider,
-    categories: list[str],
+    categories: Collection[str],
 ) -> ExpressionEntry:
-    """Attach a provider emotion vector, restricted to the category list."""
-    known = set(categories)
+    """Attach a provider emotion vector, restricted to *categories*; pass a
+    set when annotating many entries."""
     dialogue = entry.source.get("dialogue") or ""
     response = provider.infer(dialogue, image_ref=entry.source.get("image_id"))
     entry.emotions = restrict_emotion_response(
-        response, known, context=f" for entry {entry.id!r}"
+        response, categories, context=f" for entry {entry.id!r}"
     )
     return entry
+
+
+def _finite_pairs(points: list) -> bool:
+    """Whether every item of *points* is a list of two finite JSON reals, in
+    one pass. False also covers valid points it does not check (JSON
+    integers, a sum that overflows): the caller then checks value by value."""
+    total = 0.0
+    for point in points:
+        if type(point) is not list or len(point) != 2:
+            return False
+        x, y = point
+        if type(x) is not float or type(y) is not float:
+            return False
+        total += x + y  # stays finite only if every value is finite
+    return math.isfinite(total)
 
 
 def parse_source_fixture(
@@ -415,12 +442,13 @@ def parse_source_fixture(
     if "points" not in lm_raw or "bbox" not in lm_raw:
         raise MalformedEntry("landmarks need 'points' and 'bbox'", field="landmarks")
     points = json_value(lm_raw["points"], list, "landmark points", bad_landmarks)
-    for i, point in enumerate(points):
-        what = f"landmark point {i}"
-        if len(json_value(point, list, what, bad_landmarks)) != 2:
-            raise MalformedEntry(f"{what} must be [x, y]", field="landmarks")
-        for v in point:
-            json_value(v, float, what, bad_landmarks)
+    if not _finite_pairs(points):  # else find the first fault, as a reject names it
+        for i, point in enumerate(points):
+            what = f"landmark point {i}"
+            if len(json_value(point, list, what, bad_landmarks)) != 2:
+                raise MalformedEntry(f"{what} must be [x, y]", field="landmarks")
+            for v in point:
+                json_value(v, float, what, bad_landmarks)
     bbox = json_value(lm_raw["bbox"], list, "bbox", bad_landmarks)
     if len(bbox) != 4:
         raise MalformedEntry("bbox must be [x0, y0, x1, y1]", field="landmarks")
@@ -462,6 +490,7 @@ def build_dataset(
     iteration order; with the offline provider it is byte-stable.
     """
     sources_dir = Path(sources_dir)
+    known = frozenset(categories)
     report = BuildReport()
     entries: list[ExpressionEntry] = []
 
@@ -476,7 +505,7 @@ def build_dataset(
                 emotions={},
                 source={"image_id": image_id, "dialogue": dialogue},
             )
-            annotate_emotion(entry, provider, categories)
+            annotate_emotion(entry, provider, known)
         except ProviderError:
             # An outage is not bad data: it must not become per-image rejects.
             raise

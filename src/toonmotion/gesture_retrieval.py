@@ -15,8 +15,9 @@ neutral gesture drawn from the caller's seeded generator.
 
 from __future__ import annotations
 
-import random
 import math
+import os
+import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -155,7 +156,7 @@ def load_gesture_dataset(path: str | Path, embedder) -> GestureDataset:
                 )
 
             clip_path = base / clip_rel
-            if not clip_path.is_file():
+            if not os.path.isfile(clip_path):  # False, not OSError, when too long
                 raise MissingClip(f"clip file not found for {entry_id!r}: {clip_path}")
             clip = parse_bvh(clip_path.read_bytes(), source_id=entry_id)
             first = next(iter(clips.values()), clip)

@@ -11,10 +11,12 @@ face-track frames here and the BVH motion rows.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -45,14 +47,35 @@ def format_float_blocks(table: np.ndarray, field_sep: str, row_sep: str,
         yield row_sep.join([row] * block.shape[0]) % tuple(block.ravel().tolist())
 
 
+def _non_finite(value: float) -> ValueError:
+    return ValueError(f"non-finite float in JSON output: {value!r}")
+
+
 def _encode_float_table(table: np.ndarray, out: list[str]) -> None:
     finite = np.isfinite(table)
     if not finite.all():
-        bad = float(table[~finite][0])
-        raise ValueError(f"non-finite float in JSON output: {bad!r}")
+        raise _non_finite(float(table[~finite][0]))
     out.append("[")
     out.append(",".join(format_float_blocks(table, ",", ",", "[", "]")))
     out.append("]")
+
+
+_FLOAT = frozenset([float])
+_STR = frozenset([str])
+
+
+@functools.lru_cache(maxsize=4096)
+def _float_field(key: str) -> str:
+    """``"key":%.6f`` with *key* as canonical JSON, its ``%`` escaped."""
+    return json.dumps(key, ensure_ascii=False).replace("%", "%%") + ":%.6f"
+
+
+def _encode_float_map(keys: list[str], values: list[float], out: list[str]) -> None:
+    """An object whose keys are exactly str and values exactly float, in one
+    ``%`` operation: the same text as the general path, member by member."""
+    if not all(map(math.isfinite, values)):
+        raise _non_finite(next(v for v in values if not math.isfinite(v)))
+    out.append(("{" + ",".join(map(_float_field, keys)) + "}") % tuple(values))
 
 
 def _encode(obj: Any, out: list[str]) -> None:
@@ -64,18 +87,24 @@ def _encode(obj: Any, out: list[str]) -> None:
         out.append(str(obj))
     elif isinstance(obj, float):
         if not math.isfinite(obj):
-            raise ValueError(f"non-finite float in JSON output: {obj!r}")
+            raise _non_finite(obj)
         out.append(f"{obj:.6f}")
     elif isinstance(obj, dict):
+        keys = sorted(obj)
+        values = [obj[key] for key in keys]
+        if (values and _FLOAT.issuperset(map(type, values))
+                and _STR.issuperset(map(type, keys))):
+            _encode_float_map(keys, values, out)
+            return
         out.append("{")
-        for i, key in enumerate(sorted(obj)):
+        for i, key in enumerate(keys):
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be str, got {type(key).__name__}")
             if i:
                 out.append(",")
             out.append(json.dumps(key, ensure_ascii=False))
             out.append(":")
-            _encode(obj[key], out)
+            _encode(values[i], out)
         out.append("}")
     elif isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype.kind == "f":
         _encode_float_table(obj, out)
@@ -115,11 +144,32 @@ def decode_utf8(data: bytes, error: Callable[[str, int, int], Exception]) -> str
                     len(lines), len(lines[-1])) from None
 
 
+# A JSON string or number. json.loads raises a plain ValueError, without a
+# position, for an integer literal of more than sys.get_int_max_str_digits()
+# digits; _long_integer finds it by skipping strings as the decoder does.
+_STRING_OR_NUMBER = re.compile(
+    r'"(?:[^"\\]|\\.)*"|-?([0-9]+)(\.[0-9]+)?([eE][-+]?[0-9]+)?')
+
+
+def _long_integer(text: str) -> tuple[str, int, int]:
+    """Message, 1-based line and column of the first integer literal in
+    *text* too long for ``int``."""
+    limit = sys.get_int_max_str_digits()
+    pos = 0
+    for match in _STRING_OR_NUMBER.finditer(text):
+        digits, fraction, exponent = match.groups()
+        if digits and not fraction and not exponent and len(digits) > limit:
+            pos = match.start()
+            break
+    line = text.count("\n", 0, pos) + 1
+    return f"integer longer than {limit} digits", line, pos - text.rfind("\n", 0, pos)
+
+
 def read_json(path: str | Path, error: type[Exception] = ValidationError) -> Any:
     """Parse a UTF-8 JSON file.
 
-    An undecodable byte or invalid JSON raises *error* naming the file and
-    the line and column.
+    An undecodable byte, invalid JSON or an integer too long to convert
+    raises *error* naming the file and the line and column.
     """
     def fail(message: str, line: int, column: int) -> Exception:
         return error(f"{path}: line {line}, col {column}: {message}")
@@ -129,14 +179,17 @@ def read_json(path: str | Path, error: type[Exception] = ValidationError) -> Any
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise fail(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from None
+    except ValueError:
+        raise fail(*_long_integer(text)) from None
 
 
 def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """Yield ``(line_no, object)`` for every non-blank line of a JSONL file.
 
     Line numbers are 1-based and lines split as a text-mode file splits
-    them. Undecodable bytes, invalid JSON and lines that are not JSON
-    objects raise :class:`MalformedEntry` naming the file and line.
+    them. Undecodable bytes, invalid JSON, integers too long to convert and
+    lines that are not JSON objects raise :class:`MalformedEntry` naming the
+    file and line.
     """
     def fail(message: str, line: int, column: int) -> Exception:
         return MalformedEntry(f"{message} at col {column}", line=line, file=path)
@@ -151,6 +204,9 @@ def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
         except json.JSONDecodeError as exc:
             raise MalformedEntry(f"invalid JSON: {exc}", line=line_no,
                                  file=path) from exc
+        except ValueError:
+            message, _, column = _long_integer(line)
+            raise fail(message, line_no, column) from None
         if not isinstance(raw, dict):
             raise MalformedEntry("entry must be a JSON object", line=line_no,
                                  file=path)

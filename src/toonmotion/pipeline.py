@@ -99,7 +99,9 @@ class Config:
             ("viseme_table", self.viseme_table),
             ("emotion_categories", self.emotion_categories),
         ):
-            if path is not None and not Path(path).is_file():
+            # os.path.isfile, unlike Path.is_file, is False (not an OSError)
+            # for a path too long for the file system.
+            if path is not None and not os.path.isfile(path):
                 raise ConfigError(f"{label} file not found: {path}")
 
 

@@ -73,16 +73,20 @@ class LexiconEmotionProvider:
 
     def __init__(self, lexicon: dict[str, dict[str, float]] | None = None):
         self.lexicon = load_emotion_lexicon() if lexicon is None else dict(lexicon)
+        # Indexed once: a token starts with an ASCII stem exactly when its
+        # prefix of the stem's length is the stem, so infer tests ASCII stems
+        # against the set of token prefixes up to the longest one.
+        self._stems = [(stem, stem.isascii(), emotions)
+                       for stem, emotions in self.lexicon.items()]
+        self._prefix_len = max(
+            (len(stem) for stem, is_ascii, _ in self._stems if is_ascii), default=0)
 
     def infer(self, text: str, image_ref: str | None = None) -> dict[str, float]:
-        lowered = text.lower()
-        tokens = _WORD_RE.findall(lowered)
+        prefixes = {tok[:n] for tok in _WORD_RE.findall(text.lower())
+                    for n in range(self._prefix_len + 1)}
         found: dict[str, float] = {}
-        for stem, emotions in self.lexicon.items():
-            if stem.isascii():
-                hit = any(tok.startswith(stem) for tok in tokens)
-            else:
-                hit = stem in text
+        for stem, is_ascii, emotions in self._stems:
+            hit = stem in prefixes if is_ascii else stem in text
             if not hit:
                 continue
             for name, intensity in emotions.items():

@@ -11,7 +11,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 _NLERP_DOT_THRESHOLD = 1.0 - 1e-9
 
@@ -36,6 +35,10 @@ def euler_deg_to_quat(angles_deg: np.ndarray, order: str) -> np.ndarray:
     `angles_deg` has shape (..., 3) with components in the same order as the
     `order` string, exactly as they appear in a BVH MOTION row.
     """
+    # scipy is imported here, not at module level: it takes about 0.4 s, and
+    # commands that convert no rotation should not pay for it.
+    from scipy.spatial.transform import Rotation
+
     angles = np.asarray(angles_deg, dtype=np.float64)
     # scipy 1.17 sends a 2-D (N, 3) array through its Cython backend, one
     # rotation at a time (about 2 us each), and an array of three or more
@@ -51,6 +54,8 @@ def euler_deg_to_quat(angles_deg: np.ndarray, order: str) -> np.ndarray:
 
 def quat_to_euler_deg(q: np.ndarray, order: str) -> np.ndarray:
     """(w,x,y,z) quats to intrinsic euler angles in degrees (per `order`)."""
+    from scipy.spatial.transform import Rotation
+
     q = np.asarray(q, dtype=np.float64)
     flat = q.reshape(-1, 4)
     xyzw = np.concatenate([flat[:, 1:4], flat[:, 0:1]], axis=1)

@@ -119,6 +119,11 @@ class TestLoading:
         with pytest.raises(MissingClip):
             load_gesture_dataset(path, embedder)
 
+    def test_clip_path_too_long_for_the_file_system(self, tmp_path, embedder):
+        path = write_dataset(tmp_path, [row("g1", "hi", clip="x" * 5000), NEUTRAL_ROW])
+        with pytest.raises(MissingClip, match="clip file not found for 'g1'"):
+            load_gesture_dataset(path, embedder)
+
     def test_no_neutral_entry(self, tmp_path, embedder):
         path = write_dataset(tmp_path, [row("g1", "hi")])
         with pytest.raises(NoNeutralGesture):

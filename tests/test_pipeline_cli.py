@@ -6,6 +6,9 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,6 +137,15 @@ class TestConfig:
     def test_missing_dataset_file(self, tmp_path):
         with pytest.raises(ConfigError, match="gesture_dataset"):
             load_config(write_config(tmp_path, gesture_dataset="nope.jsonl"))
+
+    def test_path_too_long_for_the_file_system_exits_1(self, tmp_path, capsys):
+        config = write_config(tmp_path, viseme_table="x" * 5000)
+        code = main(["synthesize", "--text", "Hello there.", "--duration", "2.0",
+                     "--config", str(config), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: viseme_table file not found: ")
+        assert "Traceback" not in err
 
     def test_hash_is_stable_across_locations(self, tmp_path):
         a = load_config(write_config(tmp_path / "a", **{}))
@@ -594,6 +606,19 @@ class TestCli:
         assert json.loads(report.read_text(encoding="utf-8")) == data
         assert len(out.read_text(encoding="utf-8").splitlines()) == 10
 
+    def test_build_expressions_does_not_import_scipy(self, tmp_path):
+        # scipy takes about 0.4 s to import; only rotation conversions need it.
+        argv = ["build-expressions", "--sources", str(FIXTURES / "expression_sources"),
+                "--out", str(tmp_path / "expr.jsonl")]
+        script = ("import sys\nfrom toonmotion.cli import main\n"
+                  f"code = main({argv!r})\nprint(code, 'scipy' in sys.modules)\n")
+        src = Path(pipeline.__file__).parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(src)] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.split()[-2:] == ["0", "False"]
+
     def test_build_expressions_reproducible(self, tmp_path, capsys):
         a = tmp_path / "a.jsonl"
         b = tmp_path / "b.jsonl"
@@ -735,6 +760,8 @@ MALFORMED_JSON_INPUTS = {
     "categories_invalid_json": ("emotion_categories", b'["Joy",'),
     "categories_not_a_list": ("emotion_categories", b"5"),
     "gestures_invalid_utf8": ("gesture_dataset", None),
+    "phonemes_oversized_integer": (
+        "phonemes", b'[{"ph": "a", "start": 0, "end": ' + b"1" * 5000 + b"}]"),
 }
 
 
@@ -797,6 +824,8 @@ BROKEN_DATASET_LINES = {
     "invalid_utf8": (b"\xff\n", "invalid UTF-8 byte 0xff at col 1"),
     "invalid_json": (b'{"id": \n', "invalid JSON"),
     "missing_field": (b'{"id": "broken"}\n', "missing field"),
+    "oversized_integer": (b'{"id": ' + b"1" * 5000 + b"}\n",
+                          "integer longer than 4300 digits at col 8"),
 }
 
 

@@ -4,6 +4,7 @@ arbitrary JSON value must load or raise a ToonmotionError, nothing else."""
 import copy
 import json
 import shutil
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -209,3 +210,41 @@ EMOTION_BODY = {"emotions": {"Joy": 0.5, "Awe": 0.25}}
 def test_emotion_response(body):
     loads_or_raises_package_error(
         lambda: client(HttpEmotionProvider, body).infer("That is wonderful"))
+
+
+# Text-level: json.loads raises a plain ValueError, without a position, for an
+# integer literal of more than sys.get_int_max_str_digits() digits. The cases
+# above mutate decoded values, so they never write such text.
+LONG_INTEGER = "\0long integer\0"  # a placeholder; its JSON text is replaced
+TEXT_READERS = {
+    "phonemes.json": (PHONEMES, PHONEME_PATHS, load_phoneme_file),
+    "visemes.json": (VISEMES, VISEME_PATHS, load_viseme_table),
+    "config.json": (CONFIG, [()] + [(key,) for key in CONFIG], load_config),
+    "expressions.jsonl": (EXPRESSIONS, EXPRESSION_PATHS,
+                          lambda path: load_expression_dataset(path, CATEGORIES)),
+    "gestures/fuzz.jsonl": (GESTURES, GESTURE_PATHS[1:],
+                            lambda path: load_gesture_dataset(path, ReferenceEmbedder())),
+}
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_oversized_integer_text(workdir, data):
+    name = data.draw(st.sampled_from(sorted(TEXT_READERS)))
+    doc, paths, read = TEXT_READERS[name]
+    doc = put(copy.deepcopy(doc), data.draw(st.sampled_from(paths)), LONG_INTEGER)
+    digits = sys.get_int_max_str_digits() + data.draw(st.integers(1, 2000))
+    literal = data.draw(st.sampled_from(["", "-"])) + "7" * digits
+    if name.endswith(".jsonl"):
+        text = "".join(json.dumps(record) + "\n" for record in doc)
+    else:
+        text = json.dumps(doc, indent=data.draw(st.sampled_from([None, 2])))
+    text = text.replace(json.dumps(LONG_INTEGER), literal)
+    path = workdir / name
+    path.write_text(text, encoding="utf-8")
+    line = text.count("\n", 0, text.index(literal)) + 1
+    with pytest.raises(ToonmotionError) as info:
+        read(path)
+    message = str(info.value)
+    assert f"line {line}" in message
+    assert f"integer longer than {sys.get_int_max_str_digits()} digits" in message
