@@ -102,7 +102,7 @@ def freeze_blink_onsets():
 
 def freeze_zero_pose_bvh():
     skeleton = Skeleton([
-        Joint("Hips", -1, np.array([0.0, 90.0, 0.0]), "ZXY", has_position=True),
+        Joint("Hips", -1, np.array([0.0, 90.0, 0.0]), "ZXY"),
         Joint("Spine", 0, np.array([0.0, 10.0, 0.0]), "ZXY",
               end_offset=np.array([0.0, 5.0, 0.0])),
     ])

@@ -38,8 +38,7 @@ REST_ROOT = np.array([0.0, 90.0, 0.0])
 
 def fixture_skeleton() -> Skeleton:
     def j(name, parent, offset):
-        return Joint(name, parent, np.array(offset, dtype=np.float64), "ZXY",
-                     has_position=parent < 0)
+        return Joint(name, parent, np.array(offset, dtype=np.float64), "ZXY")
 
     return Skeleton([
         j("Hips", -1, (0.0, 90.0, 0.0)),

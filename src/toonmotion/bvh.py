@@ -46,7 +46,6 @@ class Joint:
     parent: int
     offset: np.ndarray
     rotation_order: str
-    has_position: bool = False
     end_offset: np.ndarray | None = None
 
 
@@ -200,7 +199,7 @@ class _TokenStream:
 
 
 def _parse_channels(stream: _TokenStream, is_root: bool, joint_name: str):
-    """Returns (rotation_order, has_position, channel_slots).
+    """Returns (rotation_order, channel_slots).
 
     channel_slots records, in file order, how each motion value routes:
     ("pos", axis_index) or ("rot", slot 0..2).
@@ -245,7 +244,7 @@ def _parse_channels(stream: _TokenStream, is_root: bool, joint_name: str):
         else:
             slots.append(("rot", rot_slot))
             rot_slot += 1
-    return order, bool(positions), slots
+    return order, slots
 
 
 def _parse_offset(stream: _TokenStream) -> np.ndarray:
@@ -260,9 +259,9 @@ def _parse_joint(stream: _TokenStream, joints: list[Joint], joint_slots: list[li
     """Parse one joint block (after its name) and its children, recursively."""
     stream.expect("{")
     offset = _parse_offset(stream)
-    order, has_pos, slots = _parse_channels(stream, parent < 0, name)
+    order, slots = _parse_channels(stream, parent < 0, name)
     index = len(joints)
-    joints.append(Joint(name, parent, offset, order, has_pos))
+    joints.append(Joint(name, parent, offset, order))
     joint_slots.append(slots)
     while True:
         tok = stream.next("JOINT, End Site or '}'")

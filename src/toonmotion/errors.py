@@ -83,7 +83,8 @@ class SkeletonMismatch(ValidationError):
 
 
 class InvalidLandmarks(ValidationError):
-    """Landmark geometry is degenerate (zero eye width, out-of-box points)."""
+    """Landmark geometry is degenerate (zero eye width, out-of-box points)
+    or overflows."""
 
 
 class UnknownOption(ValidationError):
@@ -95,7 +96,7 @@ class EmptyEmotionResponse(ValidationError):
 
 
 class EmptyDataset(ValidationError):
-    """Retrieval was attempted against an empty dataset."""
+    """A dataset holds no entries."""
 
 
 class OverlappingPhonemes(ValidationError):

@@ -21,10 +21,12 @@ from typing import Collection, Iterator
 import numpy as np
 
 from .errors import (
+    EmptyDataset,
     EmptyEmotionResponse,
     InvalidLandmarks,
     MalformedEntry,
     ProviderError,
+    ToonmotionError,
     UnknownOption,
 )
 from .jsonutil import atomic_write_text, canonical_json, iter_jsonl, json_value, read_json
@@ -163,37 +165,32 @@ class LandmarkSet:
         if not np.all(inside):
             bad = int(np.flatnonzero(~inside)[0])
             raise InvalidLandmarks(f"landmark {bad} outside expanded bounding box")
-        # The geometry fuse_sources reads, computed once: the widths and the
-        # y coordinates as Python floats.
-        self.ys: list[float] = self.points[:, 1].tolist()
-        self._eye_widths = {}
+        # The measurements fuse_sources reads, computed once. Coordinates near
+        # the float limit overflow them to inf, which fuse_sources would turn
+        # into NaN weights: such a set is rejected below, so numpy's overflow
+        # warning is silenced here.
+        self.ys = ys = self.points[:, 1].tolist()
+        self.eye_width, self.eye_gap, self.eye_center_y, self.brow_y = {}, {}, {}, {}
+        with np.errstate(over="ignore"):
+            for side, eye in _EYES.items():
+                outer, top, inner, bottom = range(eye.start, eye.stop)
+                self.eye_width[side] = _width(self.points[outer], self.points[inner])
+                self.eye_gap[side] = abs(ys[bottom] - ys[top])
+                self.eye_center_y[side] = _mean(ys[eye])
+                self.brow_y[side] = _mean(ys[_BROWS[side]])
+            self.mouth_width = _width(self.points[_MOUTH_LEFT], self.points[_MOUTH_RIGHT])
+        self.mouth_gap = abs(ys[_MOUTH_BOTTOM] - ys[_MOUTH_TOP])
+        self.mouth_center_y = (ys[_MOUTH_TOP] + ys[_MOUTH_BOTTOM]) / 2.0
         for side, name in (("L", "left"), ("R", "right")):
-            outer, _, inner, _ = self.points[_EYES[side]]
-            self._eye_widths[side] = _width(outer, inner)
-            if self._eye_widths[side] <= 0:
+            if self.eye_width[side] <= 0:
                 raise InvalidLandmarks(f"degenerate {name} eye width")
-        self._mouth_width = _width(self.points[_MOUTH_LEFT], self.points[_MOUTH_RIGHT])
-        if self._mouth_width <= 0:
+        if self.mouth_width <= 0:
             raise InvalidLandmarks("degenerate mouth width")
-
-    def eye_width(self, side: str) -> float:
-        return self._eye_widths[side]
-
-    def eye_gap(self, side: str) -> float:
-        ys = self.ys[_EYES[side]]
-        return abs(ys[3] - ys[1])
-
-    def eye_center_y(self, side: str) -> float:
-        return _mean(self.ys[_EYES[side]])
-
-    def brow_y(self, side: str) -> float:
-        return _mean(self.ys[_BROWS[side]])
-
-    def mouth_width(self) -> float:
-        return self._mouth_width
-
-    def mouth_gap(self) -> float:
-        return abs(self.ys[_MOUTH_BOTTOM] - self.ys[_MOUTH_TOP])
+        measures = [self.mouth_width, self.mouth_gap, self.mouth_center_y,
+                    *self.eye_width.values(), *self.eye_gap.values(),
+                    *self.eye_center_y.values(), *self.brow_y.values()]
+        if not all(map(math.isfinite, measures)):
+            raise InvalidLandmarks("landmark geometry overflows")
 
 
 def _width(a: np.ndarray, b: np.ndarray) -> float:
@@ -291,30 +288,24 @@ def fuse_sources(
     shapes = empty_blendshapes()
 
     for side in ("L", "R"):
-        width = landmarks.eye_width(side)
-        gap = landmarks.eye_gap(side)
         shapes[f"eyeBlink{side}"] = _clamp01(
-            1.0 - gap / (EYE_GAP_SCALE * width)
+            1.0 - landmarks.eye_gap[side] / (EYE_GAP_SCALE * landmarks.eye_width[side])
         )
 
-    mouth_width = landmarks.mouth_width()
-    shapes["jawOpen"] = _clamp01(
-        landmarks.mouth_gap() / (MOUTH_GAP_SCALE * mouth_width)
-    )
+    mouth_width = landmarks.mouth_width
+    shapes["jawOpen"] = _clamp01(landmarks.mouth_gap / (MOUTH_GAP_SCALE * mouth_width))
 
-    ys = landmarks.ys
-    center_y = (ys[_MOUTH_TOP] + ys[_MOUTH_BOTTOM]) / 2.0
     for side, corner in (("L", _MOUTH_LEFT), ("R", _MOUTH_RIGHT)):
         # Image y grows downward, so a corner above center means a smile.
-        lift = (center_y - ys[corner]) / mouth_width
+        lift = (landmarks.mouth_center_y - landmarks.ys[corner]) / mouth_width
         if lift >= 0:
             shapes[f"mouthSmile{side}"] = _clamp01(CORNER_SLOPE_GAIN * lift)
         else:
             shapes[f"mouthFrown{side}"] = _clamp01(-CORNER_SLOPE_GAIN * lift)
 
     for side in ("L", "R"):
-        width = landmarks.eye_width(side)
-        ratio = (landmarks.eye_center_y(side) - landmarks.brow_y(side)) / width
+        ratio = ((landmarks.eye_center_y[side] - landmarks.brow_y[side])
+                 / landmarks.eye_width[side])
         delta = ratio - BROW_NEUTRAL_RATIO
         if delta >= 0:
             shapes[f"browUp{side}"] = _clamp01(BROW_GAIN * delta)
@@ -341,8 +332,6 @@ def fuse_sources(
             shapes[name] = 0.0
         shapes.update(pose)
 
-    for name in shapes:
-        shapes[name] = _clamp01(shapes[name])
     repair_exclusivity(shapes)
     return shapes
 
@@ -484,8 +473,10 @@ def build_dataset(
 ) -> tuple[list[ExpressionEntry], BuildReport]:
     """Fuse and annotate every source fixture in a directory.
 
-    Per-image failures are collected into the report instead of aborting;
-    a `ProviderError` (an emotion provider outage) aborts the build.
+    Per-image failures, a `ToonmotionError` or an `OSError` reading the
+    fixture, are collected into the report instead of aborting. A
+    `ProviderError` (an emotion provider outage) aborts the build, as does
+    any other exception.
     Output is sorted by entry id, so the result is independent of directory
     iteration order; with the offline provider it is byte-stable.
     """
@@ -509,7 +500,7 @@ def build_dataset(
         except ProviderError:
             # An outage is not bad data: it must not become per-image rejects.
             raise
-        except Exception as exc:
+        except (ToonmotionError, OSError) as exc:
             # A read error names the file by its full path; keep just the
             # name, so the report does not depend on where the sources live.
             error = str(exc).replace(str(fixture), fixture.name)
@@ -626,7 +617,8 @@ def check_expression_records(
 def load_expression_dataset(
     path: str | Path, categories: Collection[str]
 ) -> list[ExpressionEntry]:
-    """Read an expression JSONL file, failing on the first invalid entry."""
+    """Read an expression JSONL file, failing on the first invalid entry or
+    when the file holds no entry."""
     entries: list[ExpressionEntry] = []
     for line_no, entry, violations in check_expression_records(path, categories):
         if violations:
@@ -635,4 +627,6 @@ def load_expression_dataset(
                 file=path,
             )
         entries.append(entry)
+    if not entries:
+        raise EmptyDataset(f"{path}: expression dataset has no entries")
     return entries

@@ -17,11 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .curves import smoothstep
-from .errors import (
-    EmptyDataset,
-    OverlappingPhonemes,
-    ValidationError,
-)
+from .errors import OverlappingPhonemes, ValidationError
 from .expression_dataset import (
     CHANNEL_REGISTRY,
     EXAGGERATION_CHANNELS,
@@ -167,8 +163,6 @@ def _text_vowels(text: str) -> list[str]:
 
 def fallback_phonemes(text: str, duration_s: float) -> list[PhonemeEvent]:
     """One vowel event per mora/syllable, spread uniformly over the speech."""
-    if duration_s <= 0:
-        raise ValidationError("speech duration must be positive")
     units = _text_vowels(text)
     if not units:
         return [PhonemeEvent("sil", 0.0, duration_s)]
@@ -210,9 +204,9 @@ def lipsync_track(
     contributes a trapezoid envelope (60 ms smoothstep rise and fall);
     concurrent contributions combine per channel by max. The voicing
     envelope is the same max over non-silent events and drives how strongly
-    lip-sync replaces the base expression's mouth.
+    lip-sync replaces the base expression's mouth. The events are valid:
+    read by :func:`load_phoneme_file` or built by :func:`fallback_phonemes`.
     """
-    validate_phonemes(phonemes)
     frame_count = times.shape[0]
     values = np.zeros((frame_count, len(MOUTH_CHANNELS)))
     voicing = np.zeros(frame_count)
@@ -243,8 +237,6 @@ def infer_dialogue_emotion(
     categories: list[str],
 ) -> dict[str, float]:
     """Emotion vector for an utterance, restricted to the category list."""
-    if not text.strip():
-        raise ValidationError("dialogue text is empty")
     response = provider.infer(text)
     return restrict_emotion_response(response, set(categories), context=" for dialogue")
 
@@ -253,15 +245,14 @@ def retrieve_expression(
     query: dict[str, float],
     entries: list[ExpressionEntry],
 ) -> tuple[ExpressionEntry, float]:
-    """Argmax cosine similarity entry; ties broken by ascending id."""
-    if not query:
-        raise ValidationError("emotion query is empty")
-    usable = [e for e in entries if e.emotions]
-    if not usable:
-        raise EmptyDataset("no annotated expression entries to retrieve from")
+    """Argmax cosine similarity entry; ties broken by ascending id.
+
+    *entries* is a loaded expression dataset: not empty, and every entry has
+    emotions.
+    """
     best_entry = None
     best_sim = -2.0
-    for entry in usable:
+    for entry in entries:
         sim = cosine_similarity(query, entry.emotions)
         if sim > best_sim or (sim == best_sim and entry.id < best_entry.id):
             best_entry = entry
@@ -282,8 +273,6 @@ def schedule_blinks(
     blinks that overlay eyes hide, so the generator consumption (hence every
     later draw) does not depend on the expression.
     """
-    if duration_s <= 0:
-        raise ValidationError("duration must be positive")
     onsets = []
     t = 0.0
     while True:
@@ -305,9 +294,6 @@ class FaceTrack:
     @property
     def frame_count(self) -> int:
         return self.frames.shape[0]
-
-    def channel(self, name: str) -> np.ndarray:
-        return self.frames[:, _CHANNEL_INDEX[name]]
 
     def to_json_dict(self) -> dict:
         return {
@@ -339,10 +325,6 @@ def compose_face_track(
     snapped on, zero the eyelid channels and drop every blink that would
     overlap them. The result is clamped to [0, 1].
     """
-    if duration_s <= 0:
-        raise ValidationError("duration must be positive")
-    if transition_s <= 0:
-        raise ValidationError("transition duration must be positive")
     frame_count = int(round(duration_s * fps)) + 1
     times = np.arange(frame_count) / fps
 

@@ -78,9 +78,6 @@ class GestureDataset:
             self._matrix, row_of = np.unique(matrix, axis=0, return_inverse=True)
             self._row_of = row_of.reshape(-1)
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     @property
     def fps(self) -> float:
         """The frame rate every clip of the library shares."""
@@ -202,58 +199,31 @@ def load_gesture_dataset(path: str | Path, embedder) -> GestureDataset:
     return GestureDataset(parsed, embedder, clips)
 
 
-def retrieve_gesture(
-    phrase: PhraseSpan,
-    dataset: GestureDataset,
-    threshold: float,
-    rng: random.Random,
-    query_embedding: np.ndarray | None = None,
-) -> GestureMatch:
-    """Best-similarity gesture for one phrase, neutral fallback below threshold.
-
-    The generator is consumed only when the fallback triggers, so a fixed
-    seed yields a reproducible gesture sequence. A fallback match reports the
-    best non-neutral similarity that was rejected (0 when none exists).
-    """
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError("threshold must be within [0, 1]")
-    if query_embedding is None:
-        query_embedding = embed([phrase.text], dataset.embedder)[0]
-    winner, best = dataset.best_non_neutral(query_embedding)
-
-    if winner is not None and best >= threshold:
-        return GestureMatch(
-            entry=winner,
-            similarity=best,
-            fallback=False,
-            phrase_ordinal=phrase.ordinal,
-        )
-
-    if not dataset.neutral_entries:
-        raise NoNeutralGesture("no neutral entries available for fallback")
-    choice = dataset.neutral_entries[rng.randrange(len(dataset.neutral_entries))]
-    return GestureMatch(
-        entry=choice,
-        similarity=best if winner is not None else 0.0,
-        fallback=True,
-        phrase_ordinal=phrase.ordinal,
-    )
-
-
 def retrieve_sequence(
     phrases: list[PhraseSpan],
     dataset: GestureDataset,
     threshold: float,
     rng: random.Random,
 ) -> list[GestureMatch]:
-    """One match per phrase, generator consumed strictly in phrase order."""
-    if not phrases:
-        return []
-    embeddings = embed([p.text for p in phrases], dataset.embedder)
-    return [
-        retrieve_gesture(p, dataset, threshold, rng, query_embedding=vec)
-        for p, vec in zip(phrases, embeddings)
-    ]
+    """One match per phrase: the best-similarity gesture, or a neutral
+    fallback when the best non-neutral similarity is below *threshold*.
+
+    The generator is consumed only when the fallback triggers, strictly in
+    phrase order, so a fixed seed yields a reproducible gesture sequence. A
+    fallback match reports the best non-neutral similarity that was rejected
+    (0 when none exists). *threshold* is the validated
+    ``Config.similarity_threshold``; the loader guarantees a neutral entry.
+    """
+    neutral = dataset.neutral_entries
+    queries = embed([p.text for p in phrases], dataset.embedder)
+    matches = []
+    for phrase, query in zip(phrases, queries):
+        entry, best = dataset.best_non_neutral(query)
+        fallback = entry is None or best < threshold
+        if fallback:
+            entry = neutral[rng.randrange(len(neutral))]
+        matches.append(GestureMatch(entry, best, fallback, phrase.ordinal))
+    return matches
 
 
 def retrieve_text(

@@ -43,18 +43,13 @@ def _blend_into(root, rots, frames, a: GestureClip, a_idx, b: GestureClip, b_idx
 def stitch_clips(clips: list[GestureClip], blend_s: float) -> GestureClip:
     """Concatenate clips in order with a smoothstep slerp crossfade per seam.
 
-    The clips share one skeleton and frame rate, as every clip of a loaded
-    gesture library does. The crossfade window at each seam is min(blend_s, half of either
-    neighboring clip's duration), centered on the seam. Frames inside the
-    window blend the outgoing clip (held at its end when the window runs
-    past it) into the incoming clip (held at its start before its first
-    frame).
+    The clips, at least one, share one skeleton and frame rate, as every
+    clip of a loaded gesture library does. The crossfade window at each
+    seam is min(blend_s, half of either neighboring clip's duration),
+    centered on the seam. Frames inside the window blend the outgoing clip
+    (held at its end when the window runs past it) into the incoming clip
+    (held at its start before its first frame).
     """
-    if not clips:
-        raise ValueError("cannot stitch an empty clip list")
-    if blend_s < 0:
-        raise ValueError("blend_s must be >= 0")
-
     first = clips[0]
     fps = first.fps
     # Baseline concatenation: the shared seam frame takes the incoming pose.
@@ -91,10 +86,9 @@ def retime_to_speech(clip: GestureClip, speech_duration_s: float) -> GestureClip
     The time scale k = speech/clip duration is clamped to [0.5, 2.0]. The
     output always spans round(speech * fps) + 1 frames at the original fps:
     when the clamped motion runs out early the last pose is held, and when
-    it would overrun it is truncated at speech end.
+    it would overrun it is truncated at speech end. A duration that gives
+    fewer than 2 frames, zero and negative ones included, is rejected.
     """
-    if speech_duration_s <= 0:
-        raise ValueError("speech duration must be positive")
     fps = clip.fps
     target_count = int(round(speech_duration_s * fps)) + 1
     if target_count < 2:

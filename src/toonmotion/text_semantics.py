@@ -1,4 +1,4 @@
-"""Phrase segmentation, embeddings, and cosine similarity.
+"""Phrase segmentation, embeddings, and sparse cosine similarity.
 
 Dialogue text is cut into phrases at sentence/clause punctuation, each
 phrase is embedded as a unit-norm vector, and matches are scored by cosine
@@ -181,7 +181,12 @@ def embed(texts: Sequence[str], provider) -> list[np.ndarray]:
     return [by_text[t] for t in texts]
 
 
-def _sparse_cosine(a: Mapping[str, float], b: Mapping[str, float]) -> float:
+def cosine_similarity(a: Mapping[str, float], b: Mapping[str, float]) -> float:
+    """Cosine of the angle between two sparse name->value vectors, in [-1, 1].
+
+    The vectors align on the union of their keys, absent keys counting as 0.
+    A zero vector scores 0 by convention rather than NaN.
+    """
     dot = 0.0
     for key, value in a.items():
         other = b.get(key)
@@ -191,28 +196,4 @@ def _sparse_cosine(a: Mapping[str, float], b: Mapping[str, float]) -> float:
     norm_b = sum(v * v for v in b.values()) ** 0.5
     if norm_a == 0.0 or norm_b == 0.0:
         return 0.0
-    return dot / (norm_a * norm_b)
-
-
-def cosine_similarity(a, b) -> float:
-    """Cosine of the angle between two vectors, in [-1, 1].
-
-    Accepts dense arrays or sparse name->value maps (aligned on the union
-    of keys, absent keys treated as 0). Two zero vectors score 0 by
-    convention rather than NaN.
-    """
-    if isinstance(a, Mapping) and isinstance(b, Mapping):
-        value = _sparse_cosine(a, b)
-    elif isinstance(a, Mapping) or isinstance(b, Mapping):
-        raise TypeError("cosine_similarity needs two vectors of the same kind")
-    else:
-        av = np.asarray(a, dtype=np.float64)
-        bv = np.asarray(b, dtype=np.float64)
-        if av.shape != bv.shape:
-            raise ValueError(f"shape mismatch: {av.shape} vs {bv.shape}")
-        norm_a = float(np.linalg.norm(av))
-        norm_b = float(np.linalg.norm(bv))
-        if norm_a == 0.0 or norm_b == 0.0:
-            return 0.0
-        value = float(np.dot(av, bv) / (norm_a * norm_b))
-    return max(-1.0, min(1.0, value))
+    return max(-1.0, min(1.0, dot / (norm_a * norm_b)))

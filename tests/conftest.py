@@ -44,7 +44,7 @@ def put(doc, path: tuple, value):
 
 
 def make_skeleton(n_joints: int = 2) -> Skeleton:
-    joints = [Joint("Hips", -1, np.array([0.0, 90.0, 0.0]), "ZXY", has_position=True)]
+    joints = [Joint("Hips", -1, np.array([0.0, 90.0, 0.0]), "ZXY")]
     for i in range(1, n_joints):
         joints.append(
             Joint(f"J{i}", i - 1, np.array([0.0, 10.0, 0.0]), "ZXY")

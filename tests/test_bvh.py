@@ -83,8 +83,8 @@ class TestParse:
         assert joints[1].parent == 0
         np.testing.assert_allclose(joints[0].offset, [0.0, 90.0, 0.0])
         np.testing.assert_allclose(joints[1].end_offset, [0.0, 5.0, 0.0])
-        assert joints[0].has_position
-        assert not joints[1].has_position
+        # The root's position channels fill root_positions.
+        np.testing.assert_array_equal(clip.root_positions, [[0.0, 90.0, 0.0]] * 2)
 
     def test_ninety_degree_z_rotation(self):
         clip = parse_bvh(SIMPLE_BVH, "simple")
@@ -160,8 +160,7 @@ class TestSerialize:
     def test_golden_zero_pose(self):
         golden = (FIXTURES / "goldens" / "zero_pose.bvh").read_bytes()
         skeleton = Skeleton([
-            Joint("Hips", -1, np.array([0.0, 90.0, 0.0]), "ZXY",
-                  has_position=True),
+            Joint("Hips", -1, np.array([0.0, 90.0, 0.0]), "ZXY"),
             Joint("Spine", 0, np.array([0.0, 10.0, 0.0]), "ZXY",
                   end_offset=np.array([0.0, 5.0, 0.0])),
         ])
@@ -359,8 +358,8 @@ def assert_same_clip(a: GestureClip, b: GestureClip):
     assert a.rotations.tobytes() == b.rotations.tobytes()
     assert len(a.skeleton.joints) == len(b.skeleton.joints)
     for ja, jb in zip(a.skeleton.joints, b.skeleton.joints):
-        assert (ja.name, ja.parent, ja.rotation_order, ja.has_position) == (
-            jb.name, jb.parent, jb.rotation_order, jb.has_position)
+        assert (ja.name, ja.parent, ja.rotation_order) == (
+            jb.name, jb.parent, jb.rotation_order)
         assert ja.offset.tobytes() == jb.offset.tobytes()
         assert (ja.end_offset is None) == (jb.end_offset is None)
         if ja.end_offset is not None:

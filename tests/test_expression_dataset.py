@@ -4,13 +4,16 @@ import copy
 import json
 import math
 import shutil
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toonmotion import expression_dataset
 from toonmotion.cli import main
 from toonmotion.errors import (
+    EmptyDataset,
     EmptyEmotionResponse,
     InvalidLandmarks,
     MalformedEntry,
@@ -86,6 +89,17 @@ def with_mouth(points, top_y, bottom_y, corner_dy=0.0):
 
 def fuse(tags=(), points=None, **answers):
     return fuse_sources(list(tags), landmarks(points), answer_poses(answers))
+
+
+def overflowing_source():
+    """img01 with its mouth and box near the float limit and no answers: the
+    mouth width overflows, which once made mouthFrown NaN."""
+    raw = json.loads((FIXTURES / "expression_sources" / "img01.json").read_text("utf-8"))
+    raw["landmarks"]["points"][24:28] = [
+        [-1.5e308, 1.5e308], [0, 1.5e308], [1.5e308, 1.5e308], [0, 1.6e308]]
+    raw["landmarks"]["bbox"] = [-1.7e308, -1.7e308, 1.7e308, 1.7e308]
+    raw["answers"] = {}
+    return raw
 
 
 class TestChannelRegistry:
@@ -338,6 +352,12 @@ class TestLandmarkValidation:
         with pytest.raises(InvalidLandmarks):
             landmarks(pts)
 
+    def test_overflowing_geometry_rejected_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidLandmarks, match="landmark geometry overflows"):
+                parse_source_fixture(overflowing_source())
+
 
 class TestEmotionRestriction:
     KNOWN = {"Joy", "Sadness", "Anger", "Fear", "Calmness", "Surprise",
@@ -402,7 +422,7 @@ class TestSourceParsing:
         assert image_id == "imgX"
         assert tags[0].tag == "blush"  # lowercased
         assert answers == {"mouth": {"mouthSmileL": 0.8, "mouthSmileR": 0.8}}
-        assert lms.mouth_width() == pytest.approx(60.0)
+        assert lms.mouth_width == pytest.approx(60.0)
 
     def test_missing_image_id(self):
         raw = self.good_fixture()
@@ -539,6 +559,40 @@ class TestBuild:
         assert [r["file"] for r in rejects] == ["zz_bad.json"]
         assert rejects[0]["error"].startswith("zz_bad.json: line 1, col 14: invalid JSON")
 
+    def test_overflowing_geometry_is_one_reject(self, tmp_path, capsys):
+        src = tmp_path / "sources"
+        shutil.copytree(FIXTURES / "expression_sources", src)
+        (src / "img01.json").write_text(json.dumps(overflowing_source()),
+                                        encoding="utf-8")
+        report = tmp_path / "report.json"
+        assert main(["build-expressions", "--sources", str(src),
+                     "--out", str(tmp_path / "out.jsonl"),
+                     "--report", str(report)]) == 0
+        capsys.readouterr()
+        assert json.loads(report.read_text("utf-8"))["rejects"] == [
+            {"file": "img01.json", "error": "landmark geometry overflows"}]
+
+    def test_unreadable_source_is_a_reject_named_by_file(self, tmp_path):
+        src = tmp_path / "sources"
+        shutil.copytree(FIXTURES / "expression_sources", src)
+        (src / "zz.json").mkdir()
+        _, report = build_dataset(src, LexiconEmotionProvider(),
+                                  categories=load_emotion_categories())
+        assert report.total == 10
+        [reject] = report.rejects
+        assert reject["file"] == "zz.json"
+        assert reject["error"].endswith("'zz.json'")
+        assert str(tmp_path) not in reject["error"]
+
+    def test_program_fault_propagates(self, tmp_path, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("fault in fusion")
+
+        monkeypatch.setattr(expression_dataset, "fuse_sources", broken)
+        with pytest.raises(RuntimeError, match="fault in fusion"):
+            build_dataset(FIXTURES / "expression_sources", LexiconEmotionProvider(),
+                          categories=load_emotion_categories())
+
     def test_provider_outage_aborts_the_build(self, tmp_path):
         class Down:
             def infer(self, text, image_ref=None):
@@ -578,6 +632,23 @@ def test_questionnaire_matches_frozen_golden(tmp_path, capsys):
     capsys.readouterr()
     assert out.read_bytes() == (golden / "expressions.jsonl").read_bytes()
     assert report.read_bytes() == (golden / "report.json").read_bytes()
+
+
+class TestLoad:
+    def test_empty_file_is_an_empty_dataset(self, tmp_path):
+        path = tmp_path / "expressions.jsonl"
+        path.write_text("\n", encoding="utf-8")
+        with pytest.raises(EmptyDataset):
+            load_expression_dataset(path, CATEGORIES)
+
+    def test_entry_without_emotions_rejected(self, tmp_path):
+        lines = (FIXTURES / "expressions.jsonl").read_text("utf-8").splitlines()
+        record = json.loads(lines[0])
+        record["emotions"] = {}
+        path = tmp_path / "expressions.jsonl"
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(MalformedEntry, match="empty emotion vector"):
+            load_expression_dataset(path, CATEGORIES)
 
 
 class TestValidateEntry:

@@ -1,6 +1,7 @@
 """The fast paths of the expression build against plain oracles kept here:
-canonical_json on float maps, the indexed lexicon scan, and the landmark
-geometry of fuse_sources. Each must give exactly the oracle's output."""
+canonical_json on float maps, the indexed lexicon scan, the landmark
+geometry of fuse_sources, and fuse_sources without a final clamp. Each must
+give exactly the oracle's output."""
 
 import json
 import math
@@ -18,7 +19,10 @@ from toonmotion.expression_dataset import (
     CORNER_SLOPE_GAIN,
     EYE_GAP_SCALE,
     MOUTH_GAP_SCALE,
+    QUESTIONS,
     LandmarkSet,
+    Tag,
+    answer_poses,
     empty_blendshapes,
     fuse_sources,
     parse_source_fixture,
@@ -253,4 +257,50 @@ def test_random_landmarks_match_reference_geometry(jitter, x0, y0, width, height
     except InvalidLandmarks:
         assume(False)  # a box too small to tell the points apart at this offset
     assert geometry_of(landmarks) == bits(reference_geometry(points))
+
+
+# --------------------------------------------- fusion without a final clamp
+
+
+def fuse_with_final_clamp(tags, landmarks, answers) -> dict:
+    """fuse_sources as it was, ending with a clamp of every channel to
+    [0, 1]. The clamp keeps a value positive or not, so running it after the
+    overlay-eye repair instead of before it changes nothing."""
+    return {name: min(max(v, 0.0), 1.0)
+            for name, v in fuse_sources(tags, landmarks, answers).items()}
+
+
+TAGS = st.lists(st.builds(Tag, st.sampled_from(
+    ["smile", "frown", "blush", "sweat", "sweat_drop", "shock", "shock_lines", "wink"]),
+    st.floats(0.0, 1.0)), max_size=5)
+ANSWERS = st.fixed_dictionaries({}, optional={
+    question: (st.one_of(st.just(["none"]), st.lists(
+                   st.sampled_from(sorted(set(options) - {"none"})), unique=True))
+               if question == "overlays" else st.sampled_from([None, *options]))
+    for question, (_, options) in QUESTIONS.items()
+})
+# The two sides of a box, from near zero to the float limit, where the
+# geometry overflows.
+SIDES = st.lists(st.one_of(st.floats(-1e6, 1e6), st.sampled_from(
+    [-1.7e308, -1e300, -3e15, -0.0, 1e16, 1e300, 1.7e308])),
+    min_size=2, max_size=2).map(sorted)
+
+
+@given(TAGS, ANSWERS, st.lists(st.floats(0.0, 1.0), min_size=56, max_size=56),
+       SIDES, SIDES)
+@settings(max_examples=300, deadline=None)
+def test_fuse_matches_fusion_with_a_final_clamp(tags, answers, fractions,
+                                                xs, ys):
+    (x0, x1), (y0, y1) = xs, ys
+    # Each point is a convex combination of the box corners, so it is finite.
+    points = [[(1.0 - fx) * x0 + fx * x1, (1.0 - fy) * y0 + fy * y1]
+              for fx, fy in zip(fractions[::2], fractions[1::2])]
+    try:
+        landmarks = LandmarkSet(points=points, bbox=(x0, y0, x1, y1))
+    except InvalidLandmarks:
+        return  # degenerate, or geometry that overflows: never fused
+    poses = answer_poses(answers)
+    shapes = fuse_sources(tags, landmarks, poses)
+    assert all(0.0 <= v <= 1.0 for v in shapes.values())
+    assert bits(shapes) == bits(fuse_with_final_clamp(tags, landmarks, poses))
 

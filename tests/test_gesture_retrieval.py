@@ -16,11 +16,10 @@ from toonmotion.gesture_retrieval import (
     GestureDataset,
     GestureEntry,
     load_gesture_dataset,
-    retrieve_gesture,
     retrieve_sequence,
 )
 from toonmotion.pipeline import Config
-from toonmotion.text_semantics import PhraseSpan, cosine_similarity, embed
+from toonmotion.text_semantics import PhraseSpan, embed
 
 from conftest import FIXTURES, GOLDENS, constant_clip, identity_quats, make_skeleton
 
@@ -60,7 +59,7 @@ NEUTRAL_ROW = row("n_rest", "resting", category="neutral", neutral=True)
 
 class TestLoading:
     def test_fixture_dataset_loads(self, gesture_dataset):
-        assert len(gesture_dataset) == 9
+        assert len(gesture_dataset.entries) == 9
         assert [e.id for e in gesture_dataset.neutral_entries] == [
             "n_idle1", "n_idle2",
         ]
@@ -173,37 +172,37 @@ class TestLoading:
         path = write_dataset(
             tmp_path, [NEUTRAL_ROW, row("g1", "hi", duration_s=1.2 - 0.4 / 30)]
         )
-        assert len(load_gesture_dataset(path, embedder)) == 2
+        assert len(load_gesture_dataset(path, embedder).entries) == 2
 
     def test_blank_lines_skipped(self, tmp_path, embedder):
         path = write_dataset(tmp_path, [NEUTRAL_ROW])
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("\n\n")
         dataset = load_gesture_dataset(path, embedder)
-        assert len(dataset) == 1
+        assert len(dataset.entries) == 1
 
 
 class TestRetrieval:
     def test_exact_phrase_has_similarity_one(self, gesture_dataset):
-        match = retrieve_gesture(span("Hello there."), gesture_dataset,
-                                 threshold=Config.similarity_threshold,
-                                 rng=random.Random(0))
+        [match] = retrieve_sequence([span("Hello there.")], gesture_dataset,
+                                    threshold=Config.similarity_threshold,
+                                    rng=random.Random(0))
         assert match.entry.id == "g_hello"
         assert match.similarity == pytest.approx(1.0, abs=1e-9)
         assert not match.fallback
 
     def test_close_phrase_beats_threshold(self, gesture_dataset):
-        match = retrieve_gesture(span("That is wonderful!"), gesture_dataset,
-                                 threshold=Config.similarity_threshold,
-                                 rng=random.Random(0))
+        [match] = retrieve_sequence([span("That is wonderful!")], gesture_dataset,
+                                    threshold=Config.similarity_threshold,
+                                    rng=random.Random(0))
         assert match.entry.id == "g_wonderful"
         assert match.similarity > 0.55
         assert not match.fallback
 
     def test_below_threshold_falls_back_to_neutral(self, gesture_dataset):
         rng = random.Random(7)
-        match = retrieve_gesture(
-            span("zqxv jkwp mbfg"), gesture_dataset, rng=rng,
+        [match] = retrieve_sequence(
+            [span("zqxv jkwp mbfg")], gesture_dataset, rng=rng,
             threshold=Config.similarity_threshold
         )
         assert match.fallback
@@ -214,18 +213,18 @@ class TestRetrieval:
         golden = json.loads(
             (GOLDENS / "neutral_draw_seed7.json").read_text(encoding="utf-8")
         )
-        match = retrieve_gesture(
-            span("zqxv jkwp mbfg"), gesture_dataset, rng=random.Random(7),
+        [match] = retrieve_sequence(
+            [span("zqxv jkwp mbfg")], gesture_dataset, rng=random.Random(7),
             threshold=Config.similarity_threshold
         )
         assert match.entry.id == golden["entry_id"]
 
     def test_fallback_is_seed_stable(self, gesture_dataset):
         picks = {
-            retrieve_gesture(
-                span("zqxv jkwp mbfg"), gesture_dataset, rng=random.Random(7),
+            retrieve_sequence(
+                [span("zqxv jkwp mbfg")], gesture_dataset, rng=random.Random(7),
                 threshold=Config.similarity_threshold
-            ).entry.id
+            )[0].entry.id
             for _ in range(100)
         }
         assert len(picks) == 1
@@ -233,42 +232,37 @@ class TestRetrieval:
     def test_rng_untouched_on_direct_match(self, gesture_dataset):
         rng = random.Random(3)
         before = rng.getstate()
-        retrieve_gesture(span("Hello there."), gesture_dataset, rng=rng,
-                         threshold=Config.similarity_threshold)
+        retrieve_sequence([span("Hello there.")], gesture_dataset, rng=rng,
+                          threshold=Config.similarity_threshold)
         assert rng.getstate() == before
 
     def test_threshold_one_always_falls_back(self, gesture_dataset):
-        match = retrieve_gesture(
-            span("Hello there."), gesture_dataset,
+        [match] = retrieve_sequence(
+            [span("Hello there.")], gesture_dataset,
             threshold=1.0, rng=random.Random(0),
         )
         # similarity 1.0 still clears a threshold of 1.0
         assert not match.fallback
-        match = retrieve_gesture(
-            span("Hello friends."), gesture_dataset,
+        [match] = retrieve_sequence(
+            [span("Hello friends.")], gesture_dataset,
             threshold=1.0, rng=random.Random(0),
         )
         assert match.fallback
 
     def test_threshold_zero_never_falls_back(self, gesture_dataset):
-        match = retrieve_gesture(span("zqxv jkwp mbfg"), gesture_dataset,
-                                 threshold=0.0, rng=random.Random(0))
+        [match] = retrieve_sequence([span("zqxv jkwp mbfg")], gesture_dataset,
+                                    threshold=0.0, rng=random.Random(0))
         assert not match.fallback
-
-    def test_threshold_out_of_range(self, gesture_dataset):
-        with pytest.raises(ValueError):
-            retrieve_gesture(span("hi"), gesture_dataset, threshold=1.5,
-                             rng=random.Random(0))
 
     def test_matches_brute_force_argmax(self, gesture_dataset, embedder):
         queries = ["say hello", "look over there", "amazing news", "I agree",
                    "こんにちは", "wave to the crowd"]
         vectors = embed(queries, embedder)
         for text, vec in zip(queries, vectors):
-            match = retrieve_gesture(span(text), gesture_dataset, threshold=0.0,
-                                     rng=random.Random(0))
+            [match] = retrieve_sequence([span(text)], gesture_dataset, threshold=0.0,
+                                        rng=random.Random(0))
             sims = {
-                e.id: cosine_similarity(vec, e.embedding)
+                e.id: float(np.dot(vec, e.embedding))
                 for e in gesture_dataset.entries if not e.neutral
             }
             best = max(sims.values())
@@ -280,23 +274,23 @@ class TestRetrieval:
         text = "zqxv jkwp mbfg"
         vec = embed([text], embedder)[0]
         best = max(
-            cosine_similarity(vec, e.embedding)
+            float(np.dot(vec, e.embedding))
             for e in gesture_dataset.entries if not e.neutral
         )
-        match = retrieve_gesture(span(text), gesture_dataset,
-                                 rng=random.Random(0),
-                                 threshold=Config.similarity_threshold)
+        [match] = retrieve_sequence([span(text)], gesture_dataset,
+                                    rng=random.Random(0),
+                                    threshold=Config.similarity_threshold)
         assert match.similarity == pytest.approx(best, abs=1e-9)
 
     @given(st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=30, deadline=None)
     def test_fallback_is_monotone_in_threshold(self, gesture_dataset, threshold):
-        match = retrieve_gesture(
-            span("wave hello to everyone"), gesture_dataset,
+        [match] = retrieve_sequence(
+            [span("wave hello to everyone")], gesture_dataset,
             threshold=threshold, rng=random.Random(1),
         )
-        direct = retrieve_gesture(
-            span("wave hello to everyone"), gesture_dataset, threshold=0.0,
+        [direct] = retrieve_sequence(
+            [span("wave hello to everyone")], gesture_dataset, threshold=0.0,
             rng=random.Random(0)
         )
         if match.fallback:
@@ -396,7 +390,7 @@ class TestSequence:
             assert -1.0 <= m.similarity <= 1.0
 
     def test_categories_exposed(self, gesture_dataset):
-        match = retrieve_gesture(span("Hello there."), gesture_dataset,
-                                 threshold=Config.similarity_threshold,
-                                 rng=random.Random(0))
+        [match] = retrieve_sequence([span("Hello there.")], gesture_dataset,
+                                    threshold=Config.similarity_threshold,
+                                    rng=random.Random(0))
         assert match.entry.category is GestureCategory.GREETING

@@ -134,6 +134,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="fps"):
             load_config(write_config(tmp_path, fps=0))
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("blend_s", -0.1, "blend_s must be >= 0"),
+        ("transition_s", 0, "transition_s must be positive"),
+    ], ids=["blend_s_negative", "transition_s_zero"])
+    def test_out_of_range_duration_rejected(self, tmp_path, key, value, message):
+        with pytest.raises(ConfigError, match=message):
+            load_config(write_config(tmp_path, **{key: value}))
+
     def test_missing_dataset_file(self, tmp_path):
         with pytest.raises(ConfigError, match="gesture_dataset"):
             load_config(write_config(tmp_path, gesture_dataset="nope.jsonl"))

@@ -174,8 +174,8 @@ class TestCosine:
         target = {"Joy": 1.0}
         assert cosine_similarity(query, target) == pytest.approx(0.6421, abs=1e-4)
 
-    def test_dense_identity(self):
-        v = reference_embed("same text")
+    def test_identity(self):
+        v = {"Joy": 0.8, "Fear": 0.3, "Interest": 0.65}
         assert cosine_similarity(v, v) == pytest.approx(1.0, abs=1e-9)
 
     def test_symmetry_sparse(self):
@@ -196,17 +196,12 @@ class TestCosine:
 
     def test_zero_vectors(self):
         assert cosine_similarity({}, {"Joy": 1.0}) == 0.0
-        assert cosine_similarity(np.zeros(4), np.zeros(4)) == 0.0
-
-    def test_mixed_kinds_rejected(self):
-        with pytest.raises(TypeError):
-            cosine_similarity({"Joy": 1.0}, np.ones(4))
+        assert cosine_similarity({"Joy": 0.0}, {"Joy": 0.0}) == 0.0
 
     @given(
-        st.lists(st.floats(-5, 5), min_size=3, max_size=3),
-        st.lists(st.floats(-5, 5), min_size=3, max_size=3),
+        st.dictionaries(st.sampled_from(["Joy", "Fear", "Anger"]), st.floats(-5, 5)),
+        st.dictionaries(st.sampled_from(["Joy", "Fear", "Anger"]), st.floats(-5, 5)),
     )
     @settings(max_examples=100, deadline=None)
-    def test_dense_result_in_range(self, a, b):
-        sim = cosine_similarity(np.array(a), np.array(b))
-        assert -1.0 <= sim <= 1.0
+    def test_result_in_range(self, a, b):
+        assert -1.0 <= cosine_similarity(a, b) <= 1.0
