@@ -23,9 +23,7 @@ import numpy as np
 from .errors import (
     BvhSyntaxError,
     FrameCountMismatch,
-    SkeletonMismatch,
     UnsupportedChannelLayout,
-    ValidationError,
 )
 from .jsonutil import decode_utf8, format_float_blocks
 from .quat import euler_deg_to_quat, quat_to_euler_deg
@@ -36,7 +34,6 @@ SERIALIZED_ROTATION_ORDER = "ZXY"
 _POSITION_CHANNELS = {"Xposition": 0, "Yposition": 1, "Zposition": 2}
 _ROTATION_AXIS = {"Xrotation": "X", "Yrotation": "Y", "Zrotation": "Z"}
 
-QUAT_NORM_TOL = 1e-6
 OFFSET_MATCH_TOL = 1e-6
 
 
@@ -51,17 +48,9 @@ class Joint:
 
 @dataclass
 class Skeleton:
-    joints: list[Joint]
+    """Joints in parent-first order under one root, as `parse_bvh` reads them."""
 
-    def __post_init__(self):
-        roots = [j for j in self.joints if j.parent < 0]
-        if len(roots) != 1 or self.joints[0].parent != -1:
-            raise SkeletonMismatch("skeleton must have exactly one root joint first")
-        for i, joint in enumerate(self.joints):
-            if joint.parent >= i:
-                raise SkeletonMismatch(
-                    f"joint {joint.name!r} appears before its parent"
-                )
+    joints: list[Joint]
 
     def children_of(self, index: int) -> list[int]:
         return [i for i, j in enumerate(self.joints) if j.parent == index]
@@ -82,36 +71,15 @@ class Skeleton:
 
 @dataclass
 class GestureClip:
+    """A motion clip whose values `parse_bvh` or a compose stage has checked:
+    at least 2 frames, `rotations` (frames, joints, 4) unit quaternions
+    (w, x, y, z) and `root_positions` (frames, 3)."""
+
     skeleton: Skeleton
     fps: float
     root_positions: np.ndarray
     rotations: np.ndarray
     source_id: str = ""
-
-    def __post_init__(self):
-        self.root_positions = np.asarray(self.root_positions, dtype=np.float64)
-        self.rotations = np.asarray(self.rotations, dtype=np.float64)
-        n_frames = self.rotations.shape[0]
-        if n_frames < 2:
-            raise FrameCountMismatch(
-                f"clip {self.source_id!r} has {n_frames} frames, need at least 2"
-            )
-        n_joints = len(self.skeleton.joints)
-        if self.rotations.shape != (n_frames, n_joints, 4):
-            raise FrameCountMismatch(
-                f"rotation array shape {self.rotations.shape} does not match "
-                f"{n_frames} frames x {n_joints} joints"
-            )
-        if self.root_positions.shape != (n_frames, 3):
-            raise FrameCountMismatch(
-                f"root position shape {self.root_positions.shape} invalid"
-            )
-        norms = np.linalg.norm(self.rotations, axis=-1)
-        worst = float(np.max(np.abs(norms - 1.0)))
-        if not worst <= QUAT_NORM_TOL:  # NaN fails this too
-            raise ValidationError(
-                f"non-unit quaternion in clip (|norm-1| = {worst:.2e})"
-            )
 
     @property
     def frame_count(self) -> int:
@@ -353,6 +321,10 @@ def parse_bvh(data: bytes | str, source_id: str = "") -> GestureClip:
     if actual_frames != declared_frames:
         raise FrameCountMismatch(
             f"declared {declared_frames} frames but found {actual_frames}"
+        )
+    if actual_frames < 2:
+        raise FrameCountMismatch(
+            f"clip {source_id!r} has {actual_frames} frames, need at least 2"
         )
 
     # numpy converts each string with Python's float(), so the values are

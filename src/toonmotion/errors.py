@@ -75,11 +75,8 @@ class UnsupportedChannelLayout(ValidationError):
 
 
 class FrameCountMismatch(ValidationError):
-    """Declared BVH frame count differs from the number of data rows."""
-
-
-class SkeletonMismatch(ValidationError):
-    """A skeleton's joint hierarchy is malformed."""
+    """Declared BVH frame count differs from the number of data rows, or a
+    clip has fewer than 2 frames."""
 
 
 class InvalidLandmarks(ValidationError):

@@ -553,7 +553,7 @@ def validate_entry(entry: ExpressionEntry, categories: Collection[str]) -> list[
             violations.append(f"missing channel {name!r}")
             continue
         value = shapes[name]
-        if not np.isfinite(value) or not 0.0 <= value <= 1.0:
+        if not 0.0 <= value <= 1.0:
             violations.append(f"range violation on {name!r}: {value}")
     if has_overlay_eyes(shapes):
         for name in EYELID_CHANNELS:
@@ -562,7 +562,7 @@ def validate_entry(entry: ExpressionEntry, categories: Collection[str]) -> list[
     if not entry.emotions:
         violations.append("empty emotion vector")
     for name, value in entry.emotions.items():
-        if not np.isfinite(value) or not 0.0 < value <= 1.0:
+        if not 0.0 < value <= 1.0:
             violations.append(f"emotion intensity out of (0,1] for {name!r}: {value}")
         if name not in categories:
             violations.append(f"emotion category {name!r} not in configured list")
@@ -598,7 +598,8 @@ def check_expression_records(
 ) -> Iterator[tuple[int, ExpressionEntry, list[str]]]:
     """Yield ``(line_no, entry, violations)`` for each record of an expression
     JSONL file, checking emotion names against *categories*; structural
-    errors raise :class:`MalformedEntry` naming the file and line."""
+    errors raise :class:`MalformedEntry` naming the file and line, and a file
+    with no record raises :class:`EmptyDataset`."""
     known = frozenset(categories)
     seen: set[str] = set()
     for line_no, raw in iter_jsonl(path):
@@ -612,6 +613,8 @@ def check_expression_records(
             violations.insert(0, "duplicate id")
         seen.add(entry.id)
         yield line_no, entry, violations
+    if not seen:
+        raise EmptyDataset(f"{path}: expression dataset has no entries")
 
 
 def load_expression_dataset(
@@ -627,6 +630,4 @@ def load_expression_dataset(
                 file=path,
             )
         entries.append(entry)
-    if not entries:
-        raise EmptyDataset(f"{path}: expression dataset has no entries")
     return entries

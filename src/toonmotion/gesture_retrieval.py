@@ -50,7 +50,6 @@ class GestureEntry:
     embedding: np.ndarray
     category: GestureCategory
     neutral: bool
-    duration_s: float
 
 
 @dataclass(frozen=True)
@@ -110,7 +109,7 @@ def load_gesture_dataset(path: str | Path, embedder) -> GestureDataset:
     records = list(iter_jsonl(path))
 
     seen_ids: set[str] = set()
-    parsed: list[GestureEntry] = []
+    fields: list[tuple[str, str, GestureCategory, bool]] = []
     clips: dict[str, GestureClip] = {}
     try:
         for line_no, raw in records:
@@ -175,28 +174,18 @@ def load_gesture_dataset(path: str | Path, embedder) -> GestureDataset:
                 )
             clips[entry_id] = clip
 
-            parsed.append(
-                GestureEntry(
-                    id=entry_id,
-                    phrase=phrase,
-                    embedding=np.zeros(0),
-                    category=category,
-                    neutral=neutral,
-                    duration_s=duration_s,
-                )
-            )
+            fields.append((entry_id, phrase, category, neutral))
     except MalformedEntry as exc:
         exc.file = path
         raise
 
-    if not any(e.neutral for e in parsed):
+    if not any(neutral for *_, neutral in fields):
         raise NoNeutralGesture(f"dataset {path} has no neutral gesture entry")
 
-    vectors = embed([e.phrase for e in parsed], embedder)
-    for entry, vec in zip(parsed, vectors):
-        entry.embedding = vec
-
-    return GestureDataset(parsed, embedder, clips)
+    vectors = embed([phrase for _, phrase, _, _ in fields], embedder)
+    entries = [GestureEntry(entry_id, phrase, vec, category, neutral)
+               for (entry_id, phrase, category, neutral), vec in zip(fields, vectors)]
+    return GestureDataset(entries, embedder, clips)
 
 
 def retrieve_sequence(

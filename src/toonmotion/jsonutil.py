@@ -270,10 +270,6 @@ def atomic_write_files(files: Iterable[tuple[str | Path, bytes]]) -> None:
         raise
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Write *data* to *path* via a temp file and rename."""
-    atomic_write_files([(path, data)])
-
-
 def atomic_write_text(path: str | Path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+    """Write *text* to *path* as UTF-8 via a temp file and rename."""
+    atomic_write_files([(path, text.encode("utf-8"))])

@@ -157,7 +157,9 @@ class HttpEmbeddingProvider(_HttpClient):
     dim: int | None = None
 
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
-        body = json_value(self._post("/v1/embed", {"texts": list(texts)}), dict,
+        """One vector per text, each of the dimension every response declares."""
+        texts = list(texts)
+        body = json_value(self._post("/v1/embed", {"texts": texts}), dict,
                           "embed response", ProviderUnavailable)
         vectors = json_value(body.get("vectors"), list, "embed response 'vectors'",
                              ProviderUnavailable)
@@ -165,10 +167,16 @@ class HttpEmbeddingProvider(_HttpClient):
                          ProviderUnavailable)
         self.model = json_value(body.get("model", self.model), str,
                                 "embed response 'model'", ProviderUnavailable)
+        if dim < 1:
+            raise DimensionMismatch(f"embed response 'dim' must be positive, not {dim}")
         if self.dim is None:
             self.dim = dim
         elif dim != self.dim:
             raise DimensionMismatch(f"provider dim changed from {self.dim} to {dim}")
+        if len(vectors) != len(texts):
+            raise DimensionMismatch(
+                f"provider returned {len(vectors)} vectors for {len(texts)} texts"
+            )
         out = []
         for vec in vectors:
             vec = json_value(vec, list, "embed vector", ProviderUnavailable)

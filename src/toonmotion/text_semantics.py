@@ -15,8 +15,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch
-
 # Phrase delimiters. Fullwidth/CJK marks act as pure separators and are
 # dropped from the phrase text; ASCII marks end a phrase but stay attached
 # to it ("Hello there." keeps its period, "こんにちは、" does not keep 、).
@@ -156,28 +154,14 @@ def embed(texts: Sequence[str], provider) -> list[np.ndarray]:
 
     Duplicate strings are embedded once and share a vector, so identical
     text maps to an identical vector even with a noisy remote provider.
-    Raises DimensionMismatch if the provider returns inconsistent or
-    unexpected dimensions.
+    The provider returns one 1-D vector of its dimension per text; the HTTP
+    client checks that at its boundary.
     """
     unique = list(dict.fromkeys(texts))
     if not unique:
         return []
-    vectors = provider.embed(unique)
-    if len(vectors) != len(unique):
-        raise DimensionMismatch(
-            f"provider returned {len(vectors)} vectors for {len(unique)} texts"
-        )
-    expected = getattr(provider, "dim", None)
-    by_text: dict[str, np.ndarray] = {}
-    for text, vec in zip(unique, vectors):
-        arr = np.asarray(vec, dtype=np.float64)
-        if arr.ndim != 1:
-            raise DimensionMismatch(f"expected 1-D vector, got shape {arr.shape}")
-        if expected is not None and arr.shape[0] != expected:
-            raise DimensionMismatch(
-                f"provider dim {expected} but vector has {arr.shape[0]} components"
-            )
-        by_text[text] = _as_unit(arr)
+    by_text = {text: _as_unit(vec)
+               for text, vec in zip(unique, provider.embed(unique))}
     return [by_text[t] for t in texts]
 
 

@@ -674,9 +674,11 @@ class TestValidateEntry:
         assert any("missing channel" in v for v in validate_entry(entry, CATEGORIES))
 
     def test_range_violation(self):
-        entry = self.valid_entry()
-        entry.blendshapes["jawOpen"] = 1.2
-        assert any("range violation" in v for v in validate_entry(entry, CATEGORIES))
+        for value in (1.2, math.nan, math.inf, -math.inf):
+            entry = self.valid_entry()
+            entry.blendshapes["jawOpen"] = value
+            violations = validate_entry(entry, CATEGORIES)
+            assert any("range violation" in v for v in violations), value
 
     def test_exclusivity_violation(self):
         entry = self.valid_entry()
@@ -690,9 +692,11 @@ class TestValidateEntry:
         assert any("empty emotion" in v for v in validate_entry(entry, CATEGORIES))
 
     def test_emotion_intensity_bounds(self):
-        entry = self.valid_entry()
-        entry.emotions = {"Joy": 1.5}
-        assert any("emotion intensity" in v for v in validate_entry(entry, CATEGORIES))
+        for value in (1.5, math.nan, math.inf, -math.inf):
+            entry = self.valid_entry()
+            entry.emotions = {"Joy": value}
+            violations = validate_entry(entry, CATEGORIES)
+            assert any("emotion intensity" in v for v in violations), value
 
     def test_unknown_emotion_category(self):
         entry = self.valid_entry()

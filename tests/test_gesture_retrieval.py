@@ -314,10 +314,10 @@ def test_duplicate_phrase_ties_to_ascending_id_at_every_row(embedder, dup_id):
 
     def entry(entry_id, k):
         return GestureEntry(entry_id, TIE_PHRASES[k], vecs[k],
-                            GestureCategory.ICONIC, False, 1.0)
+                            GestureCategory.ICONIC, False)
 
     neutral = GestureEntry("n_rest", "resting", vecs[0],
-                           GestureCategory.NEUTRAL, True, 1.0)
+                           GestureCategory.NEUTRAL, True)
     wrong = []
     for k in range(len(TIE_PHRASES)):
         expected = min(dup_id, f"g{k:02d}")

@@ -826,6 +826,29 @@ def test_unknown_emotion_category_is_rejected_everywhere(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["synthesize", "validate-dataset",
+                                     "annotate-emotions"])
+def test_empty_expression_file_is_rejected_everywhere(tmp_path, capsys, command):
+    path = tmp_path / "empty.jsonl"
+    path.write_bytes(b"")
+    out = tmp_path / "out"
+    argv = {
+        "synthesize": ["synthesize", "--text", "Hello there.", "--duration", "2.0",
+                       "--config", str(write_config(tmp_path / "cfg",
+                                                    expression_dataset=str(path))),
+                       "--out", str(out)],
+        "validate-dataset": ["validate-dataset", "--kind", "expression",
+                             "--path", str(path)],
+        "annotate-emotions": ["annotate-emotions", "--dataset", str(path),
+                              "--out", str(out)],
+    }[command]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}: expression dataset has no entries\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 # The bytes appended to a dataset file: each breaks the line after the last
 # valid record.
 BROKEN_DATASET_LINES = {

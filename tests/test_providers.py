@@ -228,6 +228,23 @@ class TestHttpEmbeddingProvider:
         with pytest.raises(DimensionMismatch):
             provider.embed(["a"])
 
+    def test_fewer_vectors_than_texts(self):
+        session = StubSession([StubResponse(200, embed_body(["a"]))])
+        provider = HttpEmbeddingProvider("http://x", session=session, backoff_s=0,
+                                         timeout_s=Config.timeout_s,
+                                         retries=Config.retries)
+        with pytest.raises(DimensionMismatch, match="1 vectors for 2 texts"):
+            provider.embed(["a", "b"])
+
+    def test_non_positive_dim(self):
+        body = {"vectors": [[]], "dim": 0, "model": "stub"}
+        session = StubSession([StubResponse(200, body)])
+        provider = HttpEmbeddingProvider("http://x", session=session, backoff_s=0,
+                                         timeout_s=Config.timeout_s,
+                                         retries=Config.retries)
+        with pytest.raises(DimensionMismatch, match="must be positive"):
+            provider.embed(["a"])
+
     def test_trailing_slash_normalized(self):
         session = StubSession([StubResponse(200, embed_body(["a"]))])
         provider = HttpEmbeddingProvider("http://x/", session=session, backoff_s=0,

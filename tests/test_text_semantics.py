@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toonmotion.errors import DimensionMismatch
 from toonmotion.text_semantics import (
     MAX_PHRASE_CHARS,
     REFERENCE_DIM,
@@ -144,28 +143,6 @@ class TestEmbed:
         provider = _FixedDimProvider({"z": [0, 0, 0, 0]})
         out = embed(["z"], provider)
         assert out[0][0] == 1.0
-
-    def test_dimension_mismatch(self):
-        class Bad:
-            dim = 4
-            model = "bad"
-
-            def embed(self, texts):
-                return [np.zeros(3) for _ in texts]
-
-        with pytest.raises(DimensionMismatch):
-            embed(["x"], Bad())
-
-    def test_wrong_count(self):
-        class Short:
-            dim = 4
-            model = "short"
-
-            def embed(self, texts):
-                return []
-
-        with pytest.raises(DimensionMismatch):
-            embed(["x"], Short())
 
 
 class TestCosine:
