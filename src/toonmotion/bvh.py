@@ -193,10 +193,6 @@ def _parse_channels(stream: _TokenStream, is_root: bool, joint_name: str):
         raise UnsupportedChannelLayout(
             f"position channels are only supported on the root (joint {joint_name!r})"
         )
-    if count != len(positions) + len(rotations):
-        raise UnsupportedChannelLayout(
-            f"joint {joint_name!r} channel count {count} does not match layout"
-        )
 
     order = "".join(_ROTATION_AXIS[n] for n in rotations)
     if order not in SUPPORTED_ROTATION_ORDERS:
@@ -258,9 +254,9 @@ def _bad_motion_value(stream: _TokenStream, values: list[str]) -> BvhSyntaxError
             expected = "a finite number"
         except ValueError:
             expected = "a number"
-        return stream.error(f"expected {expected} in motion data, found {raw!r}",
-                            stream.locate(index))
-    raise AssertionError("every motion value is a finite number")
+        break
+    return stream.error(f"expected {expected} in motion data, found {raw!r}",
+                        stream.locate(index))
 
 
 def parse_bvh(data: bytes | str, source_id: str = "") -> GestureClip:

@@ -25,7 +25,9 @@ from .gesture_retrieval import load_gesture_dataset, retrieve_text
 from .jsonutil import atomic_write_text, canonical_json
 from .pipeline import (
     DialogueRequest,
+    check_text_and_seed,
     load_config,
+    load_gesture_library,
     provider_clients,
     synthesize,
 )
@@ -157,8 +159,9 @@ def _cmd_retrieve(args) -> int:
     if args.threshold is not None:
         config = dataclasses.replace(config, similarity_threshold=args.threshold)
         config.validate()
+    check_text_and_seed(args.text, args.seed)
     embedder, _ = provider_clients(config)
-    dataset = load_gesture_dataset(config.gesture_dataset, embedder)
+    dataset = load_gesture_library(config, embedder)
     threshold = config.similarity_threshold
     phrases, matches = retrieve_text(
         args.text, dataset, threshold, random.Random(args.seed)

@@ -151,7 +151,8 @@ class LandmarkSet:
             raise InvalidLandmarks(
                 f"expected {LANDMARK_COUNT} 2D points, got shape {self.points.shape}"
             )
-        x0, y0, x1, y1 = self.bbox
+        # As floats: JSON integers near the float limit overflow int arithmetic.
+        x0, y0, x1, y1 = map(float, self.bbox)
         if not (x1 > x0 and y1 > y0):
             raise InvalidLandmarks(f"degenerate bounding box {self.bbox}")
         sx = (x1 - x0) * BBOX_SLACK
@@ -589,6 +590,10 @@ def parse_expression_record(raw: dict, line_no: int | None = None) -> Expression
                 name: json_value(weight, float, f"field {key!r} weight {name!r}", bad)
                 for name, weight in fields[key].items()
             }
+        elif key == "source":  # annotate_emotion reads these; missing is null
+            for name in ("image_id", "dialogue"):
+                json_value(fields[key].get(name), str, f"field 'source.{name}'", bad,
+                           nullable=True)
     return ExpressionEntry(**fields)
 
 

@@ -61,11 +61,6 @@ class PhonemeEvent:
 
 def validate_phonemes(events: list[PhonemeEvent]):
     for ev in events:
-        if not (math.isfinite(ev.start_s) and math.isfinite(ev.end_s)):
-            raise ValidationError(
-                f"event {ev.phoneme!r} has non-finite time "
-                f"(start {ev.start_s}, end {ev.end_s})"
-            )
         if ev.end_s <= ev.start_s:
             raise OverlappingPhonemes(
                 f"event {ev.phoneme!r} has end {ev.end_s} <= start {ev.start_s}"

@@ -116,11 +116,7 @@ def _encode(obj: Any, out: list[str]) -> None:
             _encode(item, out)
         out.append("]")
     else:
-        # numpy scalars and similar duck-typed numbers
-        if hasattr(obj, "item"):
-            _encode(obj.item(), out)
-        else:
-            raise TypeError(f"cannot canonicalize {type(obj).__name__}")
+        raise TypeError(f"cannot canonicalize {type(obj).__name__}")
 
 
 def canonical_json(obj: Any) -> str:

@@ -11,7 +11,7 @@ import hashlib
 import math
 import os
 import random
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -66,12 +66,12 @@ class Config:
     timeout_s: float = 10.0
     retries: int = 2
 
-    _raw: dict | None = None
+    # The config file's values before path resolution, which config_hash hashes.
+    _raw: dict = field(kw_only=True)
 
     def config_hash(self) -> str:
-        """Stable hash of the normalized configuration values."""
-        raw = self._raw if self._raw is not None else _normalize_config_dict(self)
-        return hashlib.sha256(canonical_json(raw).encode("utf-8")).hexdigest()
+        """Stable hash of the configuration values as the file gave them."""
+        return hashlib.sha256(canonical_json(self._raw).encode("utf-8")).hexdigest()
 
     def validate(self):
         for f in fields(self):
@@ -111,11 +111,6 @@ _CONFIG_FIELDS = [f for f in fields(Config) if not f.name.startswith("_")]
 _CONFIG_TYPES = get_type_hints(Config)
 
 
-def _normalize_config_dict(config: "Config") -> dict:
-    values = {f.name: getattr(config, f.name) for f in _CONFIG_FIELDS}
-    return {k: str(v) if isinstance(v, Path) else v for k, v in values.items()}
-
-
 def load_config(path: str | Path) -> Config:
     """Read a JSON config; relative paths resolve against the config file.
 
@@ -151,10 +146,9 @@ def load_config(path: str | Path) -> Config:
         if kind is Path and value is not None:
             value = path.parent / value
         values[f.name] = value
-    config = Config(**values)
     # Hash the pre-resolution values so the hash does not depend on where
     # the config file happens to live.
-    config._raw = merged
+    config = Config(**values, _raw=merged)
     config.validate()
     return config
 
@@ -168,12 +162,17 @@ class DialogueRequest:
     character_profile: str | None = None
 
     def validate(self):
-        if not self.text.strip():
-            raise ValidationError("request text is empty")
+        check_text_and_seed(self.text, self.seed)
         if not math.isfinite(self.speech_duration_s) or self.speech_duration_s <= 0:
             raise ValidationError("speech duration must be positive and finite")
-        if self.seed < 0:
-            raise ValidationError("seed must be a non-negative integer")
+
+
+def check_text_and_seed(text: str, seed: int) -> None:
+    """The request checks that `retrieve` shares with `synthesize`."""
+    if not text.strip():
+        raise ValidationError("request text is empty")
+    if seed < 0:
+        raise ValidationError("seed must be a non-negative integer")
 
 
 @dataclass
@@ -211,11 +210,20 @@ def provider_clients(config: Config):
     return embedder, emotion
 
 
+def load_gesture_library(config: Config, embedder):
+    """The config's gesture library, whose frame rate must be the config's."""
+    gestures = load_gesture_dataset(config.gesture_dataset, embedder)
+    if not math.isclose(config.fps, gestures.fps, rel_tol=FPS_REL_TOL):
+        raise ConfigError(
+            f"config fps {config.fps} differs from the gesture library's {gestures.fps}"
+        )
+    return gestures
+
+
 def synthesize(
     request: DialogueRequest,
     config: Config,
     out_dir: str | Path | None = None,
-    embedder=None,
     emotion_provider=None,
 ) -> OutputBundle:
     """Run the full pipeline and optionally write the bundle.
@@ -226,17 +234,11 @@ def synthesize(
     """
     request.validate()
     config.validate()
-    if embedder is None or emotion_provider is None:
-        default_embedder, default_emotion = provider_clients(config)
-        embedder = embedder or default_embedder
-        emotion_provider = emotion_provider or default_emotion
+    embedder, default_emotion = provider_clients(config)
+    emotion_provider = emotion_provider or default_emotion
 
     categories = load_emotion_categories(config.emotion_categories)
-    gestures = load_gesture_dataset(config.gesture_dataset, embedder)
-    if not math.isclose(config.fps, gestures.fps, rel_tol=FPS_REL_TOL):
-        raise ConfigError(
-            f"config fps {config.fps} differs from the gesture library's {gestures.fps}"
-        )
+    gestures = load_gesture_library(config, embedder)
     expressions = load_expression_dataset(config.expression_dataset, categories)
     viseme_table = load_viseme_table(config.viseme_table)
 

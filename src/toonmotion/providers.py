@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, ProviderUnavailable, ValidationError
 from .jsonutil import json_value, read_json
-from .text_semantics import REFERENCE_DIM, reference_embed
+from .text_semantics import reference_embed
 
 log = logging.getLogger(__name__)
 
@@ -54,7 +54,6 @@ def load_emotion_lexicon() -> dict[str, dict[str, float]]:
 class ReferenceEmbedder:
     """Offline deterministic embedder (hashed character n-grams)."""
 
-    dim = REFERENCE_DIM
     model = "ngram-hash-256-v1"
 
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:

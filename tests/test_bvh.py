@@ -146,6 +146,14 @@ class TestParse:
         with pytest.raises(UnsupportedChannelLayout):
             parse_bvh(text, "bad")
 
+    def test_two_rotation_channels(self):
+        text = SIMPLE_BVH.replace(
+            "CHANNELS 3 Zrotation Xrotation Yrotation", "CHANNELS 2 Zrotation Xrotation"
+        )
+        with pytest.raises(UnsupportedChannelLayout,
+                           match="'Spine' must have exactly 3 rotation channels"):
+            parse_bvh(text, "bad")
+
     def test_frames_colon_spacing_variants(self):
         text = SIMPLE_BVH.replace("Frames: 2", "Frames : 2")
         clip = parse_bvh(text, "spaced")

@@ -352,6 +352,12 @@ class TestLandmarkValidation:
         with pytest.raises(InvalidLandmarks):
             landmarks(pts)
 
+    def test_degenerate_mouth(self):
+        pts = base_points()
+        pts[26] = pts[24]  # right mouth corner collapses onto the left
+        with pytest.raises(InvalidLandmarks, match="degenerate mouth width"):
+            landmarks(pts)
+
     def test_overflowing_geometry_rejected_without_a_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -399,6 +405,7 @@ MISTYPED_SOURCE_FIELDS = {
     "confidence_numeric_string": (("tags", 0, "confidence"), "0.9", "tags"),
     "confidence_boolean": (("tags", 0, "confidence"), True, "tags"),
     "tag_number": (("tags", 0, "tag"), 5, "tags"),
+    "tag_without_confidence": (("tags", 0), {"tag": "smile"}, "tags"),
     "bbox_three_values": (("landmarks", "bbox"), [0, 0, 1], "landmarks"),
     "bbox_infinite": (("landmarks", "bbox"), [0, 0, math.inf, math.inf], "landmarks"),
     "point_string_coordinate": (("landmarks", "points", 3), ["x", 1], "landmarks"),
@@ -454,6 +461,69 @@ class TestSourceParsing:
         with pytest.raises(MalformedEntry) as info:
             parse_source_fixture(put(self.good_fixture(), path, value))
         assert info.value.field == field
+
+
+def img01_source():
+    return json.loads((FIXTURES / "expression_sources" / "img01.json").read_text("utf-8"))
+
+
+def far_contour_source():
+    """img01 with its contour and nose points, which no measurement reads,
+    near the float limit: their sum overflows, each value is finite."""
+    raw = img01_source()
+    for i in (*range(0, 5), *range(19, 24)):
+        raw["landmarks"]["points"][i] = [1.5e308, 1.5e308]
+    raw["landmarks"]["bbox"] = [0, 0, 1.6e308, 1.6e308]
+    return raw
+
+
+def coordinates_written_as(raw, kind):
+    """*raw* with every landmark coordinate written as a JSON real (*kind*
+    float) or integer (*kind* int), decoded back from JSON text."""
+    lms = raw["landmarks"]
+    lms["points"] = [[kind(v) for v in point] for point in lms["points"]]
+    lms["bbox"] = [kind(v) for v in lms["bbox"]]
+    return json.loads(json.dumps(raw))
+
+
+def landmark_outcome(raw):
+    """The landmark measurements parse_source_fixture takes from *raw*, or
+    the error it raises."""
+    try:
+        lms = parse_source_fixture(raw)[3]
+    except (MalformedEntry, InvalidLandmarks) as exc:
+        return type(exc).__name__, str(exc)
+    return (lms.mouth_width, lms.mouth_gap, lms.mouth_center_y, lms.eye_width,
+            lms.eye_gap, lms.eye_center_y, lms.brow_y)
+
+
+class TestLandmarkPointFastPath:
+    """Points that are all JSON reals are checked in one pass; an integer
+    among them sends the check value by value. Both must decide alike."""
+
+    @pytest.mark.parametrize("source, sum_overflows, loads", [
+        (img01_source, False, True),
+        (far_contour_source, True, True),
+        (overflowing_source, True, False),
+    ], ids=["plain", "sum_overflows", "geometry_overflows"])
+    def test_reals_decide_as_integers_do(self, source, sum_overflows, loads):
+        reals = coordinates_written_as(source(), float)
+        total = sum(v for point in reals["landmarks"]["points"] for v in point)
+        assert math.isinf(total) == sum_overflows
+        outcome = landmark_outcome(reals)
+        assert outcome == landmark_outcome(coordinates_written_as(source(), int))
+        assert (outcome[0] != "InvalidLandmarks") == loads
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["NaN", "Infinity"])
+    def test_non_finite_real_named_as_the_slow_path_names_it(self, value):
+        outcomes = []
+        for kind in (float, int):
+            raw = coordinates_written_as(img01_source(), kind)
+            raw["landmarks"]["points"][3][1] = value
+            outcomes.append(landmark_outcome(json.loads(json.dumps(raw))))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == "MalformedEntry"
+        assert "landmark point 3 is non-finite" in outcomes[0][1]
 
 
 class TestAnnotation:
@@ -703,6 +773,11 @@ class TestValidateEntry:
         entry.emotions = {"Zeal": 0.5}
         violations = validate_entry(entry, CATEGORIES)
         assert any("not in configured list" in v for v in violations)
+
+    def test_more_than_eight_emotions(self):
+        entry = self.valid_entry()
+        entry.emotions = {name: 0.5 for name in sorted(CATEGORIES)[:9]}
+        assert validate_entry(entry, CATEGORIES) == ["more than 8 emotion categories"]
 
     def test_fixture_dataset_validates(self):
         for entry in load_expression_dataset(FIXTURES / "expressions.jsonl",

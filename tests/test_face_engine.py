@@ -236,6 +236,10 @@ class TestFallbackPhonemes:
         assert [e.phoneme for e in fallback_phonemes("スーパー", 1.0)] == \
             ["u", "u", "a", "a"]
 
+    def test_small_kana_replaces_the_vowel_before_it(self):
+        assert [e.phoneme for e in fallback_phonemes("きゃ", 1.0)] == ["a"]
+        assert [e.phoneme for e in fallback_phonemes("ちょっと", 1.0)] == ["o", "o"]
+
     def test_empty_text_is_silence(self):
         assert fallback_phonemes("", 2.0) == [ev("sil", 0.0, 2.0)]
         assert fallback_phonemes("...", 2.0) == [ev("sil", 0.0, 2.0)]
@@ -274,6 +278,14 @@ class TestVisemeTable:
         path.write_text(json.dumps({"sil": {}, "other": {"jawOpen": weight}}),
                         encoding="utf-8")
         with pytest.raises(ValidationError, match="'other' weight on 'jawOpen' must be"):
+            load_viseme_table(path)
+
+    def test_rejects_weight_outside_the_unit_interval(self, tmp_path):
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps({"sil": {}, "other": {"jawOpen": 1.5}}),
+                        encoding="utf-8")
+        with pytest.raises(ValidationError,
+                           match=r"'other' weight 1.5 on 'jawOpen' is not in \[0, 1\]"):
             load_viseme_table(path)
 
     def test_rejects_channel_outside_the_mouth(self, tmp_path):

@@ -123,6 +123,19 @@ class TestLoading:
         with pytest.raises(MissingClip, match="clip file not found for 'g1'"):
             load_gesture_dataset(path, embedder)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("id", "", "empty id"),
+        ("phrase", "", "empty phrase"),
+        ("duration_s", 0, "duration_s must be positive"),
+    ], ids=["empty_id", "empty_phrase", "zero_duration"])
+    def test_empty_or_non_positive_value(self, tmp_path, embedder, field, value,
+                                         message):
+        bad = {**row("g1", "hi"), field: value}
+        path = write_dataset(tmp_path, [NEUTRAL_ROW, bad])
+        with pytest.raises(MalformedEntry, match=message) as info:
+            load_gesture_dataset(path, embedder)
+        assert (info.value.line, info.value.field) == (2, field)
+
     def test_no_neutral_entry(self, tmp_path, embedder):
         path = write_dataset(tmp_path, [row("g1", "hi")])
         with pytest.raises(NoNeutralGesture):
@@ -235,6 +248,14 @@ class TestRetrieval:
         retrieve_sequence([span("Hello there.")], gesture_dataset, rng=rng,
                           threshold=Config.similarity_threshold)
         assert rng.getstate() == before
+
+    def test_library_of_only_neutral_entries_always_falls_back(self, tmp_path,
+                                                               embedder):
+        dataset = load_gesture_dataset(write_dataset(tmp_path, [NEUTRAL_ROW]), embedder)
+        phrases = [span("resting", 0), span("hello", 1)]
+        matches = retrieve_sequence(phrases, dataset, 0.0, random.Random(0))
+        assert [(m.entry.id, m.similarity, m.fallback) for m in matches] == [
+            ("n_rest", 0.0, True), ("n_rest", 0.0, True)]
 
     def test_threshold_one_always_falls_back(self, gesture_dataset):
         [match] = retrieve_sequence(

@@ -1,7 +1,9 @@
 """canonical_json float tables, the JSON and JSONL readers and the field
 reader."""
 
+import errno
 import math
+import os
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from toonmotion.errors import MalformedEntry, ValidationError
 from toonmotion.jsonutil import (
     FORMAT_BLOCK_ROWS,
+    atomic_write_files,
     canonical_json,
     iter_jsonl,
     json_value,
@@ -52,6 +55,17 @@ class TestFloatTables:
 
     def test_negative_zero_prints_signed(self):
         assert canonical_json(np.array([[-0.0, 0.0]])) == "[[-0.000000,0.000000]]"
+
+
+class TestUnencodable:
+    def test_non_string_key(self):
+        with pytest.raises(TypeError, match="keys must be str, got int"):
+            canonical_json({"a": {1: "one"}})
+
+    @pytest.mark.parametrize("value", [{1, 2}, np.float32(0.5)], ids=["set", "float32"])
+    def test_object_of_no_json_kind(self, value):
+        with pytest.raises(TypeError, match="cannot canonicalize"):
+            canonical_json([value])
 
 
 class TestNonFiniteTables:
@@ -150,3 +164,18 @@ class TestFieldReader:
         assert (info.value.line, info.value.field) == (7, "x")
         assert str(info.value) == (
             "line 7: field 'x' must be an integer, not a string (field: x)")
+
+
+def test_failed_cleanup_keeps_the_original_error(tmp_path, monkeypatch):
+    def fail(what):
+        def failing(*args):
+            raise OSError(errno.EIO, f"{what} failed")
+        return failing
+
+    monkeypatch.setattr(os, "replace", fail("rename"))
+    monkeypatch.setattr(os, "unlink", fail("unlink"))
+    with pytest.raises(OSError, match="rename failed"):
+        atomic_write_files([(tmp_path / "a", b"1"), (tmp_path / "b", b"2")])
+    monkeypatch.undo()
+    staged = sorted(path.name[:3] for path in tmp_path.iterdir())
+    assert staged == [".a.", ".b."]

@@ -301,6 +301,11 @@ class TestAgainstPerFrameReference:
             self.check(clips, 0.3, [rng.uniform(0.5, 12.0)])
 
 
+def test_normalize_rejects_a_zero_quaternion():
+    with pytest.raises(ValueError, match="cannot normalize a zero quaternion"):
+        normalize(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]))
+
+
 class TestMaxFrameJump:
     def test_constant_track_has_zero_jump(self):
         skeleton = make_skeleton(2)

@@ -30,7 +30,13 @@ from toonmotion.pipeline import (
     load_config,
     synthesize,
 )
-from toonmotion.providers import load_emotion_categories
+from toonmotion.providers import (
+    FallbackEmotionProvider,
+    HttpEmbeddingProvider,
+    HttpEmotionProvider,
+    LexiconEmotionProvider,
+    load_emotion_categories,
+)
 
 from conftest import FIXTURES, GOLDENS
 
@@ -113,6 +119,20 @@ class TestConfig:
         ))
         assert config.embed_endpoint == "http://e"
 
+    def test_remote_fallback_flag_wraps_the_emotion_client(self, tmp_path):
+        config = load_config(write_config(
+            tmp_path,
+            provider_mode="remote",
+            embed_endpoint="http://e",
+            emotion_endpoint="http://m",
+            emotion_fallback_lexicon=True,
+        ))
+        embedder, emotion = pipeline.provider_clients(config)
+        assert isinstance(embedder, HttpEmbeddingProvider)
+        assert isinstance(emotion, FallbackEmotionProvider)
+        assert isinstance(emotion.primary, HttpEmotionProvider)
+        assert isinstance(emotion.fallback, LexiconEmotionProvider)
+
     def test_env_overrides_endpoints(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TOONMOTION_EMBED_ENDPOINT", "http://env-e")
         monkeypatch.setenv("TOONMOTION_EMOTION_ENDPOINT", "http://env-m")
@@ -141,6 +161,10 @@ class TestConfig:
     def test_out_of_range_duration_rejected(self, tmp_path, key, value, message):
         with pytest.raises(ConfigError, match=message):
             load_config(write_config(tmp_path, **{key: value}))
+
+    def test_negative_retries(self, tmp_path):
+        with pytest.raises(ConfigError, match="retries must be >= 0"):
+            load_config(write_config(tmp_path, retries=-1))
 
     def test_missing_dataset_file(self, tmp_path):
         with pytest.raises(ConfigError, match="gesture_dataset"):
@@ -650,6 +674,25 @@ class TestCli:
         assert "annotated 10 entries" in capsys.readouterr().out
         assert out.read_bytes() == (FIXTURES / "expressions.jsonl").read_bytes()
 
+    @pytest.mark.parametrize("command", ["build-expressions", "annotate-emotions"])
+    def test_emotion_commands_use_the_config_categories(self, tmp_path, capsys,
+                                                        command):
+        categories = [c for c in load_emotion_categories() if c != "Surprise"]
+        (tmp_path / "categories.json").write_text(json.dumps(categories),
+                                                  encoding="utf-8")
+        config = write_config(tmp_path, emotion_categories="categories.json")
+        if command == "build-expressions":
+            source = ["--sources", str(FIXTURES / "expression_sources")]
+        else:
+            source = ["--dataset", str(FIXTURES / "expressions.jsonl")]
+        out = tmp_path / "out.jsonl"
+        assert main([command, *source, "--out", str(out), "--config", str(config)]) == 0
+        capsys.readouterr()
+        emotions = {record["id"]: record["emotions"] for record in
+                    map(json.loads, out.read_text("utf-8").splitlines())}
+        assert emotions["img06"] == {"Shock": 0.85}
+        assert emotions["img08"] == {"Amazement": 0.8}
+
     def test_validate_gesture_dataset(self, capsys):
         code = main([
             "validate-dataset", "--kind", "gesture",
@@ -685,6 +728,17 @@ class TestCli:
         assert any("range violation" in v for v in data["violations"])
         assert any("exclusivity" in v for v in data["violations"])
 
+    def test_validate_reports_duplicate_ids(self, tmp_path, capsys):
+        line = (FIXTURES / "expressions.jsonl").read_text("utf-8").splitlines()[0]
+        path = tmp_path / "dup.jsonl"
+        path.write_text(line + "\n" + line + "\n", encoding="utf-8")
+        code = main(["validate-dataset", "--kind", "expression",
+                     "--path", str(path)])
+        assert code == 1
+        entry_id = json.loads(line)["id"]
+        assert json.loads(capsys.readouterr().out) == {
+            "violations": [f"{entry_id}: duplicate id"]}
+
     def test_validate_bad_gesture_dataset_exits_1(self, tmp_path, capsys):
         path = tmp_path / "g.jsonl"
         path.write_text(json.dumps({
@@ -705,6 +759,8 @@ MALFORMED_EXPRESSION_RECORDS = {
     "list_id": "id",
     "string_weight": "blendshapes",
     "boolean_weight": "emotions",
+    "source_dialogue_number": "source",
+    "source_image_id_list": "source",
 }
 
 
@@ -725,6 +781,10 @@ def _malformed_expression_file(tmp_path, kind):
         bad["blendshapes"]["jawOpen"] = "0.5"
     elif kind == "boolean_weight":
         bad["emotions"][next(iter(bad["emotions"]))] = True
+    elif kind == "source_dialogue_number":
+        bad["source"]["dialogue"] = 5
+    elif kind == "source_image_id_list":
+        bad["source"]["image_id"] = ["Hello"]
     else:
         del bad["id"]
     path = tmp_path / "bad.jsonl"
@@ -754,6 +814,29 @@ def test_malformed_expression_record_reported_with_line(tmp_path, capsys, reader
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: line 3:")
     assert not (tmp_path / "out.jsonl").exists()
+
+
+# Each case: the retrieve request text and seed, the config overrides, and
+# the error synthesize exits 1 with.
+RETRIEVE_REJECTS = {
+    "blank_text": ("   ", "0", {}, "request text is empty"),
+    "negative_seed": ("Hello there.", "-1", {}, "seed must be a non-negative integer"),
+    "fps_mismatch": ("Hello there.", "0", {"fps": 25.0},
+                     "config fps 25.0 differs from the gesture library's "
+                     "30.000003000000298"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RETRIEVE_REJECTS))
+def test_retrieve_rejects_what_synthesize_rejects(tmp_path, capsys, case):
+    text, seed, overrides, message = RETRIEVE_REJECTS[case]
+    request_args = ["--text", text, "--seed", seed,
+                    "--config", str(write_config(tmp_path, **overrides))]
+    assert main(["synthesize", *request_args, "--duration", "2.0",
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert main(["retrieve", *request_args]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 # Each case: the input it breaks and the bytes that input holds. None appends

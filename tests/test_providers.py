@@ -123,7 +123,7 @@ class TestLexiconProvider:
 class TestReferenceEmbedder:
     def test_protocol_fields(self):
         embedder = ReferenceEmbedder()
-        assert embedder.dim == 256
+        assert embedder.embed(["hello"])[0].shape == (256,)
         assert embedder.model == "ngram-hash-256-v1"
 
     def test_batch_embedding_matches_single(self):
@@ -170,6 +170,18 @@ class TestHttpEmbeddingProvider:
             timeout_s=Config.timeout_s
         )
         assert len(provider.embed(["a"])) == 1
+
+    def test_backoff_doubles_after_each_attempt(self, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr("toonmotion.providers.time.sleep", sleeps.append)
+        session = StubSession([StubResponse(500)] * 3)
+        provider = HttpEmbeddingProvider(
+            "http://x", session=session, retries=2, backoff_s=0.5,
+            timeout_s=Config.timeout_s
+        )
+        with pytest.raises(ProviderUnavailable):
+            provider.embed(["a"])
+        assert sleeps == [0.5, 1.0]
 
     def test_exhausted_retries_raise(self):
         session = StubSession([StubResponse(500)] * 3)

@@ -53,6 +53,12 @@ class TestSegmentation:
         assert len(spans) > 1
         assert all(len(s.text) <= MAX_PHRASE_CHARS for s in spans)
 
+    def test_phrase_without_whitespace_is_hard_cut(self):
+        text = "あ" * 50
+        spans = segment_phrases(text)
+        assert [(s.start_char, s.end_char) for s in spans] == [
+            (0, MAX_PHRASE_CHARS), (MAX_PHRASE_CHARS, 50)]
+
     def test_spans_reference_source_offsets(self):
         text = "Hi there. Bye now."
         for span in segment_phrases(text):
