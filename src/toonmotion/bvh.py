@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 
@@ -25,7 +27,7 @@ from .errors import (
     FrameCountMismatch,
     UnsupportedChannelLayout,
 )
-from .jsonutil import decode_utf8, format_float_blocks
+from .jsonutil import decode_utf8, format_float_blocks, line_col
 from .quat import euler_deg_to_quat, quat_to_euler_deg
 
 SUPPORTED_ROTATION_ORDERS = ("ZXY", "ZYX", "XYZ")
@@ -100,23 +102,19 @@ class _TokenStream:
 
     A token is (text, offset). Line and column are counted only for an
     error, so the header costs one regex search per token and the motion
-    block, handed over whole by `rest()`, costs nothing here.
+    block, handed over whole by `rest()`, costs nothing here. Every error
+    names `file`.
     """
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, file: str | Path | None):
         self.text = text
+        self.file = file
         self.start = 0  # offset of the token read last
         self.end = 0  # offset just past it
 
-    def position(self, offset: int) -> tuple[int, int]:
-        """The 1-based line and column of `offset`."""
-        line, line_start = 1, 0
-        for brk in _LINE_BREAK.finditer(self.text, 0, offset):
-            line, line_start = line + 1, brk.end()
-        return line, offset - line_start + 1
-
     def error(self, message: str, tok: tuple[str, int]) -> BvhSyntaxError:
-        return BvhSyntaxError(message, *self.position(tok[1]))
+        return BvhSyntaxError(message, file=self.file,
+                              **line_col(self.text, tok[1], _LINE_BREAK))
 
     def next(self, context: str) -> tuple[str, int]:
         match = _TOKEN.search(self.text, self.end)
@@ -177,26 +175,29 @@ def _parse_channels(stream: _TokenStream, is_root: bool, joint_name: str):
         raise stream.error(f"expected CHANNELS in joint {joint_name!r}", kw)
     count = stream.next_int("channel count")
     names = [stream.next("channel name")[0] for _ in range(count)]
+    layout_error = partial(UnsupportedChannelLayout, file=stream.file)
 
     positions = [n for n in names if n in _POSITION_CHANNELS]
     rotations = [n for n in names if n in _ROTATION_AXIS]
     unknown = [n for n in names if n not in _POSITION_CHANNELS and n not in _ROTATION_AXIS]
     if unknown:
-        raise UnsupportedChannelLayout(
+        raise layout_error(
             f"joint {joint_name!r} has unknown channel {unknown[0]!r}"
         )
     if len(rotations) != 3:
-        raise UnsupportedChannelLayout(
+        raise layout_error(
             f"joint {joint_name!r} must have exactly 3 rotation channels"
         )
     if positions and (not is_root or len(positions) != 3):
-        raise UnsupportedChannelLayout(
+        raise layout_error(
             f"position channels are only supported on the root (joint {joint_name!r})"
         )
+    if len(set(positions)) != len(positions):
+        raise layout_error(f"joint {joint_name!r} repeats a position channel")
 
     order = "".join(_ROTATION_AXIS[n] for n in rotations)
     if order not in SUPPORTED_ROTATION_ORDERS:
-        raise UnsupportedChannelLayout(
+        raise layout_error(
             f"rotation order {order} on joint {joint_name!r} is not supported"
         )
 
@@ -259,16 +260,18 @@ def _bad_motion_value(stream: _TokenStream, values: list[str]) -> BvhSyntaxError
                         stream.locate(index))
 
 
-def parse_bvh(data: bytes | str, source_id: str = "") -> GestureClip:
+def parse_bvh(data: bytes | str, source_id: str = "", *,
+              file: str | Path | None = None) -> GestureClip:
     """Parse a BVH document into a quaternion-based GestureClip.
 
     The header is read token by token. The motion block is split once,
     converted with one numpy call, and each distinct rotation order takes
-    one Euler-to-quaternion call over all of its joints and frames.
+    one Euler-to-quaternion call over all of its joints and frames. Every
+    error names *file*, the document's path, when given.
     """
     if isinstance(data, (bytes, bytearray)):
-        data = decode_utf8(data, BvhSyntaxError)
-    stream = _TokenStream(data)
+        data = decode_utf8(data, partial(BvhSyntaxError, file=file), _LINE_BREAK)
+    stream = _TokenStream(data, file)
 
     stream.expect("HIERARCHY")
     root_kw = stream.next("ROOT")
@@ -306,20 +309,21 @@ def parse_bvh(data: bytes | str, source_id: str = "") -> GestureClip:
 
     values_per_frame = sum(len(s) for s in joint_slots)
     values = stream.rest()
+    mismatch = partial(FrameCountMismatch, file=file)
     if len(values) % values_per_frame != 0:
         last = stream.locate(len(values) - 1) if values else ft2
-        line, _ = stream.position(last[1])
-        raise FrameCountMismatch(
+        raise mismatch(
             f"motion data has {len(values)} values, not a multiple of "
-            f"{values_per_frame} channels (near line {line})"
+            f"{values_per_frame} channels",
+            line=line_col(data, last[1], _LINE_BREAK)["line"],
         )
     actual_frames = len(values) // values_per_frame
     if actual_frames != declared_frames:
-        raise FrameCountMismatch(
+        raise mismatch(
             f"declared {declared_frames} frames but found {actual_frames}"
         )
     if actual_frames < 2:
-        raise FrameCountMismatch(
+        raise mismatch(
             f"clip {source_id!r} has {actual_frames} frames, need at least 2"
         )
 

@@ -15,7 +15,30 @@ class ToonmotionError(Exception):
 
 
 class ValidationError(ToonmotionError):
-    """Input data or configuration violates a documented contract."""
+    """Input data or configuration violates a documented contract.
+
+    Carries where the fault is, when known: the ``file``, the 1-based
+    ``line`` and ``column`` and the offending ``field``. Every error prints
+    as ``<file>: line L, col C: <message> (field: f)``, each part only when
+    it is known.
+    """
+
+    def __init__(self, message: str, *, file: str | Path | None = None,
+                 line: int | None = None, column: int | None = None,
+                 field: str | None = None):
+        super().__init__(message)
+        self.file = file
+        self.line = line
+        self.column = column
+        self.field = field
+
+    def __str__(self) -> str:
+        where = "" if self.file is None else f"{self.file}: "
+        if self.line is not None:
+            col = "" if self.column is None else f", col {self.column}"
+            where += f"line {self.line}{col}: "
+        what = f" (field: {self.field})" if self.field else ""
+        return f"{where}{super().__str__()}{what}"
 
 
 class ProviderError(ToonmotionError):
@@ -31,26 +54,7 @@ class DimensionMismatch(ProviderError):
 
 
 class MalformedEntry(ValidationError):
-    """A dataset record is invalid.
-
-    Carries the dataset file, the 1-based line number and the offending
-    field when known; a loader that catches the error may fill in ``file``.
-    """
-
-    def __init__(self, message: str, line: int | None = None, field: str | None = None,
-                 file: str | Path | None = None):
-        super().__init__(message)
-        self.message = message
-        self.line = line
-        self.field = field
-        self.file = file
-
-    def __str__(self) -> str:
-        where = f"{self.file}: " if self.file is not None else ""
-        if self.line is not None:
-            where += f"line {self.line}: "
-        what = f" (field: {self.field})" if self.field else ""
-        return f"{where}{self.message}{what}"
+    """A dataset record is invalid."""
 
 
 class NoNeutralGesture(ValidationError):
@@ -63,11 +67,6 @@ class MissingClip(ValidationError):
 
 class BvhSyntaxError(ValidationError):
     """BVH input could not be parsed. Carries line and column."""
-
-    def __init__(self, message: str, line: int = 0, column: int = 0):
-        self.line = line
-        self.column = column
-        super().__init__(f"line {line}, col {column}: {message}")
 
 
 class UnsupportedChannelLayout(ValidationError):

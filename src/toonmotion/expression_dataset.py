@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Collection, Iterator
+from typing import Callable, Collection, Iterator
 
 import numpy as np
 
@@ -410,8 +410,9 @@ def parse_source_fixture(
     if not isinstance(raw, dict):
         raise MalformedEntry("source fixture must be a JSON object")
     image_id = raw.get("image_id")
-    if not isinstance(image_id, str) or not image_id:
+    if image_id is None or image_id == "":
         raise MalformedEntry("missing image_id", field="image_id")
+    json_value(image_id, str, "image_id", partial(MalformedEntry, field="image_id"))
     dialogue = json_value(raw.get("dialogue"), str, "dialogue",
                           partial(MalformedEntry, field="dialogue"), nullable=True)
 
@@ -572,8 +573,10 @@ def validate_entry(entry: ExpressionEntry, categories: Collection[str]) -> list[
     return violations
 
 
-def parse_expression_record(raw: dict, line_no: int | None = None) -> ExpressionEntry:
-    """Build an entry from one decoded expression JSONL record.
+def parse_expression_record(raw: dict, error: Callable[..., MalformedEntry]
+                            ) -> ExpressionEntry:
+    """Build an entry from one decoded expression JSONL record; a fault
+    raises *error*, which places the record, with its message and field.
 
     Checks the record's structure and the JSON kinds of its fields; value
     ranges and channel invariants are :func:`validate_entry`'s job.
@@ -582,8 +585,8 @@ def parse_expression_record(raw: dict, line_no: int | None = None) -> Expression
     for key, kind in (("id", str), ("blendshapes", dict), ("emotions", dict),
                       ("source", dict)):
         if key not in raw:
-            raise MalformedEntry(f"missing field {key!r}", line=line_no, field=key)
-        bad = partial(MalformedEntry, line=line_no, field=key)
+            raise error(f"missing field {key!r}", field=key)
+        bad = partial(error, field=key)
         fields[key] = json_value(raw[key], kind, f"field {key!r}", bad)
         if key in ("blendshapes", "emotions"):
             fields[key] = {
@@ -608,18 +611,15 @@ def check_expression_records(
     known = frozenset(categories)
     seen: set[str] = set()
     for line_no, raw in iter_jsonl(path):
-        try:
-            entry = parse_expression_record(raw, line_no)
-        except MalformedEntry as exc:
-            exc.file = path
-            raise
+        entry = parse_expression_record(
+            raw, partial(MalformedEntry, file=path, line=line_no))
         violations = validate_entry(entry, known)
         if entry.id in seen:
             violations.insert(0, "duplicate id")
         seen.add(entry.id)
         yield line_no, entry, violations
     if not seen:
-        raise EmptyDataset(f"{path}: expression dataset has no entries")
+        raise EmptyDataset("expression dataset has no entries", file=path)
 
 
 def load_expression_dataset(

@@ -12,6 +12,7 @@ import math
 import random
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -59,37 +60,38 @@ class PhonemeEvent:
     end_s: float
 
 
-def validate_phonemes(events: list[PhonemeEvent]):
+def validate_phonemes(events: list[PhonemeEvent], file: str | Path | None = None):
+    """Check that events have positive length and run in order without
+    overlap; an error names *file*, the timeline's path, when given."""
+    error = partial(OverlappingPhonemes, file=file)
     for ev in events:
         if ev.end_s <= ev.start_s:
-            raise OverlappingPhonemes(
-                f"event {ev.phoneme!r} has end {ev.end_s} <= start {ev.start_s}"
-            )
+            raise error(f"event {ev.phoneme!r} has end {ev.end_s} <= start {ev.start_s}")
     for prev, cur in zip(events, events[1:]):
         if cur.start_s < prev.start_s:
-            raise OverlappingPhonemes("phoneme events are not sorted by start time")
+            raise error("phoneme events are not sorted by start time")
         if cur.start_s < prev.end_s - 1e-9:
-            raise OverlappingPhonemes(
+            raise error(
                 f"events {prev.phoneme!r} and {cur.phoneme!r} overlap at {cur.start_s}"
             )
 
 
 def load_phoneme_file(path: str | Path) -> list[PhonemeEvent]:
     """Read a JSON phoneme timeline: [{"ph": str, "start": num, "end": num}]."""
-    raw = json_value(read_json(path), list, f"{path}: phoneme file", ValidationError)
+    error = partial(ValidationError, file=path)
     events = []
-    for i, item in enumerate(raw):
-        where = f"{path}: phoneme {i}"
-        item = json_value(item, dict, where, ValidationError)
+    for i, item in enumerate(json_value(read_json(path), list, "phoneme file", error)):
+        where = f"phoneme {i}"
+        item = json_value(item, dict, where, error)
         for key in ("ph", "start", "end"):
             if key not in item:
-                raise ValidationError(f"{where} is missing {key!r}")
+                raise error(f"{where} is missing {key!r}")
         events.append(PhonemeEvent(
-            json_value(item["ph"], str, f"{where} 'ph'", ValidationError),
-            json_value(item["start"], float, f"{where} 'start'", ValidationError),
-            json_value(item["end"], float, f"{where} 'end'", ValidationError),
+            json_value(item["ph"], str, f"{where} 'ph'", error),
+            json_value(item["start"], float, f"{where} 'start'", error),
+            json_value(item["end"], float, f"{where} 'end'", error),
         ))
-    validate_phonemes(events)
+    validate_phonemes(events, path)
     return events
 
 
@@ -169,20 +171,18 @@ def fallback_phonemes(text: str, duration_s: float) -> list[PhonemeEvent]:
 
 def load_viseme_table(path: str | Path | None = None) -> dict[str, dict[str, float]]:
     path = packaged_data_path("viseme_table.json") if path is None else Path(path)
-    table = json_value(read_json(path), dict, f"{path}: viseme table", ValidationError)
+    error = partial(ValidationError, file=path)
+    table = json_value(read_json(path), dict, "viseme table", error)
     if "sil" not in table or "other" not in table:
-        raise ValidationError(f"{path}: viseme table must define 'sil' and 'other'")
+        raise error("viseme table must define 'sil' and 'other'")
     for ph, pose in table.items():
-        where = f"{path}: viseme {ph!r}"
-        for name, weight in json_value(pose, dict, where, ValidationError).items():
+        where = f"viseme {ph!r}"
+        for name, weight in json_value(pose, dict, where, error).items():
             if name not in _MOUTH_COLUMN:
-                raise ValidationError(
-                    f"{where} uses {name!r}, which is not a mouth channel")
-            weight = json_value(weight, float, f"{where} weight on {name!r}",
-                                ValidationError)
+                raise error(f"{where} uses {name!r}, which is not a mouth channel")
+            weight = json_value(weight, float, f"{where} weight on {name!r}", error)
             if not 0.0 <= weight <= 1.0:
-                raise ValidationError(
-                    f"{where} weight {weight} on {name!r} is not in [0, 1]")
+                raise error(f"{where} weight {weight} on {name!r} is not in [0, 1]")
     return table
 
 

@@ -111,73 +111,54 @@ def load_gesture_dataset(path: str | Path, embedder) -> GestureDataset:
     seen_ids: set[str] = set()
     fields: list[tuple[str, str, GestureCategory, bool]] = []
     clips: dict[str, GestureClip] = {}
-    try:
-        for line_no, raw in records:
-            for key in _FIELDS:
-                if key not in raw:
-                    raise MalformedEntry(f"missing field {key!r}", line=line_no,
-                                         field=key)
-            entry_id, phrase, category_raw, neutral, clip_rel, duration_s = (
-                json_value(raw[key], kind, f"field {key!r}",
-                           partial(MalformedEntry, line=line_no, field=key))
-                for key, kind in _FIELDS.items()
+    for line_no, raw in records:
+        bad = partial(MalformedEntry, file=path, line=line_no)
+        for key in _FIELDS:
+            if key not in raw:
+                raise bad(f"missing field {key!r}", field=key)
+        entry_id, phrase, category_raw, neutral, clip_rel, duration_s = (
+            json_value(raw[key], kind, f"field {key!r}", partial(bad, field=key))
+            for key, kind in _FIELDS.items()
+        )
+        if not entry_id:
+            raise bad("empty id", field="id")
+        if entry_id in seen_ids:
+            raise bad(f"duplicate id {entry_id!r}", field="id")
+        seen_ids.add(entry_id)
+
+        if not phrase:
+            raise bad("empty phrase", field="phrase")
+
+        try:
+            category = GestureCategory(category_raw)
+        except ValueError:
+            raise bad(f"unknown category {category_raw!r}", field="category") from None
+
+        if neutral != (category is GestureCategory.NEUTRAL):
+            raise bad("neutral flag must match the neutral category", field="neutral")
+
+        if duration_s <= 0:
+            raise bad("duration_s must be positive", field="duration_s")
+
+        clip_path = base / clip_rel
+        if not os.path.isfile(clip_path):  # False, not OSError, when too long
+            raise MissingClip(f"clip file not found for {entry_id!r}: {clip_path}")
+        clip = parse_bvh(clip_path.read_bytes(), source_id=entry_id, file=clip_path)
+        first = next(iter(clips.values()), clip)
+        if not first.skeleton.matches(clip.skeleton):
+            raise bad(f"clip {entry_id!r} skeleton differs from {first.source_id!r}",
+                      field="clip")
+        if not math.isclose(clip.fps, first.fps, rel_tol=FPS_REL_TOL):
+            raise bad(f"clip {entry_id!r} fps {clip.fps} != {first.fps}", field="clip")
+        if not abs(duration_s - clip.duration_s) <= 0.5 / clip.fps:
+            raise bad(
+                f"duration_s {duration_s} differs from the clip's "
+                f"{clip.duration_s:.6f} s by more than half a frame",
+                field="duration_s",
             )
-            if not entry_id:
-                raise MalformedEntry("empty id", line=line_no, field="id")
-            if entry_id in seen_ids:
-                raise MalformedEntry(f"duplicate id {entry_id!r}", line=line_no,
-                                     field="id")
-            seen_ids.add(entry_id)
+        clips[entry_id] = clip
 
-            if not phrase:
-                raise MalformedEntry("empty phrase", line=line_no, field="phrase")
-
-            try:
-                category = GestureCategory(category_raw)
-            except ValueError:
-                raise MalformedEntry(
-                    f"unknown category {category_raw!r}", line=line_no, field="category"
-                ) from None
-
-            if neutral != (category is GestureCategory.NEUTRAL):
-                raise MalformedEntry(
-                    "neutral flag must match the neutral category",
-                    line=line_no,
-                    field="neutral",
-                )
-
-            if duration_s <= 0:
-                raise MalformedEntry(
-                    "duration_s must be positive", line=line_no, field="duration_s"
-                )
-
-            clip_path = base / clip_rel
-            if not os.path.isfile(clip_path):  # False, not OSError, when too long
-                raise MissingClip(f"clip file not found for {entry_id!r}: {clip_path}")
-            clip = parse_bvh(clip_path.read_bytes(), source_id=entry_id)
-            first = next(iter(clips.values()), clip)
-            if not first.skeleton.matches(clip.skeleton):
-                raise MalformedEntry(
-                    f"clip {entry_id!r} skeleton differs from {first.source_id!r}",
-                    line=line_no, field="clip",
-                )
-            if not math.isclose(clip.fps, first.fps, rel_tol=FPS_REL_TOL):
-                raise MalformedEntry(
-                    f"clip {entry_id!r} fps {clip.fps} != {first.fps}",
-                    line=line_no, field="clip",
-                )
-            if not abs(duration_s - clip.duration_s) <= 0.5 / clip.fps:
-                raise MalformedEntry(
-                    f"duration_s {duration_s} differs from the clip's "
-                    f"{clip.duration_s:.6f} s by more than half a frame",
-                    line=line_no, field="duration_s",
-                )
-            clips[entry_id] = clip
-
-            fields.append((entry_id, phrase, category, neutral))
-    except MalformedEntry as exc:
-        exc.file = path
-        raise
+        fields.append((entry_id, phrase, category, neutral))
 
     if not any(neutral for *_, neutral in fields):
         raise NoNeutralGesture(f"dataset {path} has no neutral gesture entry")

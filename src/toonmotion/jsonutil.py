@@ -126,30 +126,44 @@ def canonical_json(obj: Any) -> str:
     return "".join(out)
 
 
-def decode_utf8(data: bytes, error: Callable[[str, int, int], Exception]) -> str:
-    """Decode *data* as UTF-8.
+# The line breaks of a text-mode file, which number the lines of JSON and
+# JSONL inputs.
+TEXT_BREAKS = re.compile("\r\n|[\r\n]")
 
-    An invalid byte raises ``error(message, line, column)`` with its 1-based
-    line and column, lines counted as :meth:`str.splitlines` counts them.
-    """
+
+def line_col(text: str, offset: int, breaks: re.Pattern) -> dict[str, int]:
+    """The 1-based ``line`` and ``column`` of *offset* in *text*, lines split
+    on *breaks*, as the keyword arguments of a ValidationError."""
+    line, line_start = 1, 0
+    for brk in breaks.finditer(text, 0, offset):
+        line, line_start = line + 1, brk.end()
+    return {"line": line, "column": offset - line_start + 1}
+
+
+def decode_utf8(data: bytes, error: Callable[..., Exception],
+                breaks: re.Pattern) -> str:
+    """Decode *data* as UTF-8; an invalid byte raises *error* at its line
+    and column, lines split on *breaks*."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        lines = (data[:exc.start].decode("utf-8") + "?").splitlines()
+        text = data[:exc.start].decode("utf-8")
         raise error(f"invalid UTF-8 byte 0x{data[exc.start]:02x}",
-                    len(lines), len(lines[-1])) from None
+                    **line_col(text, len(text), breaks)) from None
 
 
 # A JSON string or number. json.loads raises a plain ValueError, without a
 # position, for an integer literal of more than sys.get_int_max_str_digits()
-# digits; _long_integer finds it by skipping strings as the decoder does.
+# digits; _json_fault finds it by skipping strings as the decoder does.
 _STRING_OR_NUMBER = re.compile(
     r'"(?:[^"\\]|\\.)*"|-?([0-9]+)(\.[0-9]+)?([eE][-+]?[0-9]+)?')
 
 
-def _long_integer(text: str) -> tuple[str, int, int]:
-    """Message, 1-based line and column of the first integer literal in
-    *text* too long for ``int``."""
+def _json_fault(text: str, exc: ValueError) -> tuple[str, int]:
+    """Message and offset of the fault that ``json.loads(text)`` raised
+    *exc* for: invalid JSON or an integer literal too long for ``int``."""
+    if isinstance(exc, json.JSONDecodeError):
+        return f"invalid JSON: {exc.msg}", exc.pos
     limit = sys.get_int_max_str_digits()
     pos = 0
     for match in _STRING_OR_NUMBER.finditer(text):
@@ -157,26 +171,22 @@ def _long_integer(text: str) -> tuple[str, int, int]:
         if digits and not fraction and not exponent and len(digits) > limit:
             pos = match.start()
             break
-    line = text.count("\n", 0, pos) + 1
-    return f"integer longer than {limit} digits", line, pos - text.rfind("\n", 0, pos)
+    return f"integer longer than {limit} digits", pos
 
 
-def read_json(path: str | Path, error: type[Exception] = ValidationError) -> Any:
+def read_json(path: str | Path, error: type[ValidationError] = ValidationError) -> Any:
     """Parse a UTF-8 JSON file.
 
     An undecodable byte, invalid JSON or an integer too long to convert
     raises *error* naming the file and the line and column.
     """
-    def fail(message: str, line: int, column: int) -> Exception:
-        return error(f"{path}: line {line}, col {column}: {message}")
-
-    text = decode_utf8(Path(path).read_bytes(), fail)
+    error = functools.partial(error, file=path)
+    text = decode_utf8(Path(path).read_bytes(), error, TEXT_BREAKS)
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise fail(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from None
-    except ValueError:
-        raise fail(*_long_integer(text)) from None
+    except ValueError as exc:
+        message, pos = _json_fault(text, exc)
+        raise error(message, **line_col(text, pos, TEXT_BREAKS)) from None
 
 
 def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
@@ -187,26 +197,22 @@ def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     lines that are not JSON objects raise :class:`MalformedEntry` naming the
     file and line.
     """
-    def fail(message: str, line: int, column: int) -> Exception:
-        return MalformedEntry(f"{message} at col {column}", line=line, file=path)
-
-    text = decode_utf8(Path(path).read_bytes(), fail)
-    for line_no, line in enumerate(io.StringIO(text, newline=None), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            raw = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedEntry(f"invalid JSON: {exc}", line=line_no,
-                                 file=path) from exc
-        except ValueError:
-            message, _, column = _long_integer(line)
-            raise fail(message, line_no, column) from None
-        if not isinstance(raw, dict):
-            raise MalformedEntry("entry must be a JSON object", line=line_no,
-                                 file=path)
-        yield line_no, raw
+    error = functools.partial(MalformedEntry, file=path)
+    text = decode_utf8(Path(path).read_bytes(), error, TEXT_BREAKS)
+    line_start = 0  # offset of the line in text
+    for line_no, line in enumerate(io.StringIO(text, newline=""), start=1):
+        record = line.strip()
+        if record:
+            try:
+                raw = json.loads(record)
+            except ValueError as exc:
+                message, pos = _json_fault(record, exc)
+                pos += line_start + len(line) - len(line.lstrip())
+                raise error(message, **line_col(text, pos, TEXT_BREAKS)) from None
+            if not isinstance(raw, dict):
+                raise error("entry must be a JSON object", line=line_no)
+            yield line_no, raw
+        line_start += len(line)
 
 
 _FLOAT_MAX = sys.float_info.max

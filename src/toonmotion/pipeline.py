@@ -261,7 +261,7 @@ def synthesize(
         if last_end > request.speech_duration_s + 1e-6:
             raise DurationMismatch(
                 f"phoneme timeline ends at {last_end}s, speech is "
-                f"{request.speech_duration_s}s"
+                f"{request.speech_duration_s}s", file=request.phoneme_file
             )
         lipsync_source = f"file:{Path(request.phoneme_file).name}"
     else:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import logging
 import re
 import time
+from functools import partial
 from importlib import resources
 from pathlib import Path
 from typing import Sequence
@@ -41,9 +42,9 @@ def packaged_data_path(name: str) -> Path:
 def load_emotion_categories(path: str | Path | None = None) -> list[str]:
     """The category list at *path*, else the packaged list of 130 names."""
     path = packaged_data_path("emotion_categories.json") if path is None else Path(path)
-    names = json_value(read_json(path), list, f"{path}: emotion categories",
-                       ValidationError)
-    return [json_value(name, str, f"{path}: emotion category {i}", ValidationError)
+    error = partial(ValidationError, file=path)
+    names = json_value(read_json(path), list, "emotion categories", error)
+    return [json_value(name, str, f"emotion category {i}", error)
             for i, name in enumerate(names)]
 
 

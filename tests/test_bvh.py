@@ -154,6 +154,28 @@ class TestParse:
                            match="'Spine' must have exactly 3 rotation channels"):
             parse_bvh(text, "bad")
 
+    def test_repeated_position_channel(self):
+        text = SIMPLE_BVH.replace("Xposition Yposition Zposition",
+                                  "Xposition Xposition Xposition")
+        with pytest.raises(UnsupportedChannelLayout,
+                           match="^joint 'Hips' repeats a position channel$"):
+            parse_bvh(text, "bad")
+
+    def test_ragged_motion_names_the_line_of_its_last_value(self):
+        text = SIMPLE_BVH.rstrip() + " 0.0\n"
+        with pytest.raises(FrameCountMismatch) as info:
+            parse_bvh(text, "bad")
+        assert str(info.value) == (
+            "line 20: motion data has 19 values, not a multiple of 9 channels")
+
+    def test_errors_name_the_file_when_given(self):
+        faults = [("Frames: 2", "Frames: 3"), ("Yposition", "Wposition"),
+                  ("OFFSET 0.0 90.0", "OFFSET zz 90.0")]
+        for old, new in faults:
+            with pytest.raises(ToonmotionError) as info:
+                parse_bvh(SIMPLE_BVH.replace(old, new).encode(), "bad", file="a.bvh")
+            assert str(info.value).startswith("a.bvh: ")
+
     def test_frames_colon_spacing_variants(self):
         text = SIMPLE_BVH.replace("Frames: 2", "Frames : 2")
         clip = parse_bvh(text, "spaced")
@@ -241,6 +263,8 @@ class TestSerializeMatchesPerValueReference:
 
 class _PerTokenStream:
     """Every token of the text with its line and column, listed up front."""
+
+    file = None  # the path errors name, read by the shared _parse_joint
 
     def __init__(self, text: str):
         self.tokens = []
@@ -337,7 +361,7 @@ def parse_bvh_per_token(text: str, source_id: str = "") -> GestureClip:
         tok = remaining[-1] if remaining else ft2
         raise FrameCountMismatch(
             f"motion data has {len(remaining)} values, not a multiple of "
-            f"{values_per_frame} channels (near line {tok[1]})"
+            f"{values_per_frame} channels", line=tok[1]
         )
     frames = len(remaining) // values_per_frame
     if frames != declared_frames:
@@ -702,6 +726,16 @@ class TestNonFiniteNumbers:
             parse_bvh(data, "bad")
         assert (info.value.line, info.value.column) == (20, 14)
 
+    @pytest.mark.parametrize("fault", [b"\xff0.0", b"oops"])
+    @pytest.mark.parametrize("brk", _NEWLINES)
+    def test_every_fault_counts_every_break(self, brk, fault):
+        """An undecodable byte and a bad token at one spot get one position."""
+        data = SIMPLE_BVH.replace("\n", brk).encode("utf-8").replace(
+            b"0.0 90.0 0.0 90.0", b"0.0 90.0 0.0 " + fault)
+        with pytest.raises(BvhSyntaxError) as info:
+            parse_bvh(data, "bad")
+        assert (info.value.line, info.value.column) == (20, 14)
+
 
 # Every triple of these angles is parsed once, in each rotation order.
 _EXTREME_ANGLES = [0.0, 90.0, -90.0, 1.7e308, -1.7e308]
@@ -805,8 +839,8 @@ def test_parse_leaves_no_token_stream_for_the_cycle_collector(monkeypatch):
     created = []
 
     class RecordedStream(_TokenStream):
-        def __init__(self, text):
-            super().__init__(text)
+        def __init__(self, *args):
+            super().__init__(*args)
             created.append(weakref.ref(self))
 
     monkeypatch.setattr(bvh, "_TokenStream", RecordedStream)

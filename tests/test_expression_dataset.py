@@ -409,6 +409,8 @@ MISTYPED_SOURCE_FIELDS = {
     "bbox_three_values": (("landmarks", "bbox"), [0, 0, 1], "landmarks"),
     "bbox_infinite": (("landmarks", "bbox"), [0, 0, math.inf, math.inf], "landmarks"),
     "point_string_coordinate": (("landmarks", "points", 3), ["x", 1], "landmarks"),
+    "image_id_number": (("image_id",), 5, "image_id"),
+    "image_id_array": (("image_id",), ["a"], "image_id"),
 }
 
 
@@ -461,6 +463,19 @@ class TestSourceParsing:
         with pytest.raises(MalformedEntry) as info:
             parse_source_fixture(put(self.good_fixture(), path, value))
         assert info.value.field == field
+
+    @pytest.mark.parametrize("value,message", [
+        (None, "missing image_id"),
+        ("", "missing image_id"),
+        (5, "image_id must be a string, not 5"),
+        (["a"], "image_id must be a string, not an array"),
+        ({}, "image_id must be a string, not an object"),
+        (False, "image_id must be a string, not false"),
+    ])
+    def test_image_id_fault_says_what_is_wrong(self, value, message):
+        with pytest.raises(MalformedEntry) as info:
+            parse_source_fixture(put(self.good_fixture(), ("image_id",), value))
+        assert str(info.value) == f"{message} (field: image_id)"
 
 
 def img01_source():

@@ -185,6 +185,17 @@ class TestPhonemeValidation:
         events = load_phoneme_file(path)
         assert events == [ev("a", 0.0, 0.2), ev("MBP", 0.2, 0.35)]
 
+    @pytest.mark.parametrize("events", [
+        [{"ph": "a", "start": 0.5, "end": 0.2}],
+        [{"ph": "a", "start": 0.0, "end": 0.3}, {"ph": "e", "start": 0.2, "end": 0.5}],
+    ], ids=["reversed", "overlapping"])
+    def test_load_order_fault_names_the_file(self, tmp_path, events):
+        path = tmp_path / "ph.json"
+        path.write_text(json.dumps(events), encoding="utf-8")
+        with pytest.raises(OverlappingPhonemes) as info:
+            load_phoneme_file(path)
+        assert str(info.value).startswith(f"{path}: event")
+
     def test_load_rejects_bad_rows(self, tmp_path):
         path = tmp_path / "ph.json"
         path.write_text(json.dumps([{"ph": "a", "start": 0.0}]), encoding="utf-8")

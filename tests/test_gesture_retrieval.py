@@ -10,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toonmotion.bvh import parse_bvh, serialize_bvh
-from toonmotion.errors import MalformedEntry, MissingClip, NoNeutralGesture
+from toonmotion.errors import (
+    BvhSyntaxError,
+    FrameCountMismatch,
+    MalformedEntry,
+    MissingClip,
+    NoNeutralGesture,
+    UnsupportedChannelLayout,
+)
 from toonmotion.gesture_retrieval import (
     GestureCategory,
     GestureDataset,
@@ -170,6 +177,21 @@ class TestLoading:
                            match=r"'g_odd' fps 59\.99\d* != 30\.0") as info:
             load_gesture_dataset(path, embedder)
         assert (info.value.file, info.value.line, info.value.field) == (path, 2, "clip")
+
+    @pytest.mark.parametrize("old,new,error", [
+        (b"OFFSET 0.000000 90.000000", b"OFFSET zz 90.000000", BvhSyntaxError),
+        (b"Frames: 37", b"Frames: 38", FrameCountMismatch),
+        (b"Zrotation Xrotation Yrotation", b"Yrotation Xrotation Zrotation",
+         UnsupportedChannelLayout),
+    ], ids=["syntax", "frame_count", "layout"])
+    def test_clip_fault_names_the_clip(self, tmp_path, embedder, old, new, error):
+        path = write_dataset(tmp_path, [NEUTRAL_ROW])
+        clip = tmp_path / "clips" / "g_hello.bvh"
+        clip.write_bytes(clip.read_bytes().replace(old, new, 1))
+        with pytest.raises(error) as info:
+            load_gesture_dataset(path, embedder)
+        assert info.value.file == clip
+        assert str(info.value).startswith(f"{clip}: ")
 
     def test_duration_must_match_clip(self, tmp_path, embedder):
         # g_hello.bvh runs 1.2 s at 30 fps; the limit is half a frame.

@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 from toonmotion.errors import MalformedEntry, ValidationError
 from toonmotion.jsonutil import (
     FORMAT_BLOCK_ROWS,
+    TEXT_BREAKS,
     atomic_write_files,
     canonical_json,
     iter_jsonl,
     json_value,
+    line_col,
     read_json,
 )
 
@@ -121,6 +123,77 @@ class TestReaders:
         with pytest.raises(ValidationError, match=message) as info:
             read_json(path)
         assert str(info.value).startswith(f"{path}: ")
+
+
+def fault_position(read, path, data: bytes) -> tuple[int, int]:
+    """The line and column of the error *read* raises for a file of *data*."""
+    path.write_bytes(data)
+    with pytest.raises(ValidationError) as info:
+        read(path)
+    return info.value.line, info.value.column
+
+
+def read_jsonl(path):
+    return list(iter_jsonl(path))
+
+
+# The breaks a text-mode file splits on, and line separators that it does not.
+TEXT_FILE_BREAKS = ["\n", "\r\n", "\r"]
+OTHER_SEPARATORS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+# An undecodable byte and a syntax error, each put at the same spot.
+FAULTS = [b"\xff", b"oops"]
+
+
+class TestLineRules:
+    """Each reader numbers every fault by the breaks it splits lines on, so
+    an undecodable byte and a syntax error at one spot get one position."""
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    @pytest.mark.parametrize("brk", TEXT_FILE_BREAKS)
+    def test_json_counts_text_breaks(self, tmp_path, brk, fault):
+        data = f"[1,{brk}  ".encode() + fault + b"]"
+        assert fault_position(read_json, tmp_path / "d.json", data) == (2, 3)
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    @pytest.mark.parametrize("sep", ["\x85", "\u2028", "\u2029"])
+    def test_json_string_separator_is_no_break(self, tmp_path, sep, fault):
+        data = f'["{sep}", '.encode() + fault + b"]"
+        assert fault_position(read_json, tmp_path / "d.json", data) == (1, 7)
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    @pytest.mark.parametrize("brk", TEXT_FILE_BREAKS)
+    def test_jsonl_counts_text_breaks_and_indents(self, tmp_path, brk, fault):
+        data = f'{{"a": 1}}{brk}  {{"b": '.encode() + fault + b"}\n"
+        assert fault_position(read_jsonl, tmp_path / "d.jsonl", data) == (2, 9)
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    @pytest.mark.parametrize("sep", OTHER_SEPARATORS)
+    def test_jsonl_trailing_separator_is_no_break(self, tmp_path, sep, fault):
+        data = f'{{"a": 1}}{sep}\n{{"b": '.encode() + fault + b"}\n"
+        assert fault_position(read_jsonl, tmp_path / "d.jsonl", data) == (2, 7)
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    @pytest.mark.parametrize("sep", ["\x85", "\u2028", "\u2029"])
+    def test_jsonl_string_separator_is_no_break(self, tmp_path, sep, fault):
+        data = f'{{"a": 1}}\n{{"s": "{sep}", "b": '.encode() + fault + b"}\n"
+        assert fault_position(read_jsonl, tmp_path / "d.jsonl", data) == (2, 17)
+
+    def test_jsonl_fault_has_the_one_shape(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(b'{"a": 1}\f\n{"b": "\xff"}\n')
+        with pytest.raises(MalformedEntry) as info:
+            read_jsonl(path)
+        assert str(info.value) == f"{path}: line 2, col 8: invalid UTF-8 byte 0xff"
+        path.write_bytes(b'{"a": 1}\n{"b": oops}\n')
+        with pytest.raises(MalformedEntry) as info:
+            read_jsonl(path)
+        assert str(info.value) == f"{path}: line 2, col 7: invalid JSON: Expecting value"
+
+    def test_line_col_counts_from_the_physical_line(self):
+        text = "ab\r\ncd\refg\nh"
+        positions = [line_col(text, text.index(ch), TEXT_BREAKS) for ch in "acegh"]
+        assert [(p["line"], p["column"]) for p in positions] == [
+            (1, 1), (2, 1), (3, 1), (3, 3), (4, 1)]
 
 
 class TestFieldReader:

@@ -375,8 +375,10 @@ class TestSynthesize:
         ph.write_text(json.dumps([
             {"ph": "a", "start": 0.0, "end": 2.0},
         ]), encoding="utf-8")
-        with pytest.raises(DurationMismatch):
+        with pytest.raises(DurationMismatch) as info:
             synthesize(request(duration=1.0, phoneme_file=ph), config)
+        assert str(info.value) == (
+            f"{ph}: phoneme timeline ends at 2.0s, speech is 1.0s")
 
     def test_unmatched_text_uses_neutral_fallback(self, config):
         bundle = synthesize(request(text="zqxv jkwp mbfg", duration=2.0), config)
@@ -739,6 +741,18 @@ class TestCli:
         assert json.loads(capsys.readouterr().out) == {
             "violations": [f"{entry_id}: duplicate id"]}
 
+    def test_validate_gesture_library_names_the_bad_clip(self, tmp_path, capsys):
+        shutil.copytree(FIXTURES / "gestures", tmp_path / "gestures")
+        clip = tmp_path / "gestures" / "clips" / "g_hello.bvh"
+        clip.write_bytes(clip.read_bytes().replace(
+            b"OFFSET 0.000000 90.000000", b"OFFSET zz 90.000000", 1))
+        code = main(["validate-dataset", "--kind", "gesture",
+                     "--path", str(tmp_path / "gestures" / "gestures.jsonl")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {clip}: line 4, col 9: expected a number for offset "
+            "component, found 'zz'\n")
+
     def test_validate_bad_gesture_dataset_exits_1(self, tmp_path, capsys):
         path = tmp_path / "g.jsonl"
         path.write_text(json.dumps({
@@ -933,13 +947,13 @@ def test_empty_expression_file_is_rejected_everywhere(tmp_path, capsys, command)
 
 
 # The bytes appended to a dataset file: each breaks the line after the last
-# valid record.
+# valid record, and the error goes on from "line L" with the given text.
 BROKEN_DATASET_LINES = {
-    "invalid_utf8": (b"\xff\n", "invalid UTF-8 byte 0xff at col 1"),
-    "invalid_json": (b'{"id": \n', "invalid JSON"),
-    "missing_field": (b'{"id": "broken"}\n', "missing field"),
+    "invalid_utf8": (b"\xff\n", ", col 1: invalid UTF-8 byte 0xff\n"),
+    "invalid_json": (b'{"id": \n', ", col 7: invalid JSON: Expecting value\n"),
+    "missing_field": (b'{"id": "broken"}\n', ": missing field"),
     "oversized_integer": (b'{"id": ' + b"1" * 5000 + b"}\n",
-                          "integer longer than 4300 digits at col 8"),
+                          ", col 8: integer longer than 4300 digits\n"),
 }
 
 
@@ -960,4 +974,4 @@ def test_dataset_error_names_file_and_line(tmp_path, capsys, dataset, case):
                  "--config", str(config), "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith(f"error: {bad}: line {line}: {message}")
+    assert err.startswith(f"error: {bad}: line {line}{message}")
