@@ -411,6 +411,5 @@ def serialize_bvh(clip: GestureClip) -> bytes:
     table = np.concatenate(
         [clip.root_positions, euler.reshape(clip.frame_count, -1)], axis=1
     )
-    blocks = [block.encode("utf-8")
-              for block in format_float_blocks(table, " ", "\n")]
-    return b"\n".join(["\n".join(lines).encode("utf-8"), *blocks]) + b"\n"
+    header = "\n".join(lines).encode("utf-8")
+    return b"\n".join([header, *format_float_blocks(table, " ", "\n")]) + b"\n"

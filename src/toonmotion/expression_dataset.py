@@ -157,20 +157,17 @@ class LandmarkSet:
             raise InvalidLandmarks(f"degenerate bounding box {self.bbox}")
         sx = (x1 - x0) * BBOX_SLACK
         sy = (y1 - y0) * BBOX_SLACK
-        inside = (
-            (self.points[:, 0] >= x0 - sx)
-            & (self.points[:, 0] <= x1 + sx)
-            & (self.points[:, 1] >= y0 - sy)
-            & (self.points[:, 1] <= y1 + sy)
-        )
-        if not np.all(inside):
-            bad = int(np.flatnonzero(~inside)[0])
-            raise InvalidLandmarks(f"landmark {bad} outside expanded bounding box")
+        # Python floats compare as numpy's do, a NaN point failing the test.
+        left, right, top, bottom = x0 - sx, x1 + sx, y0 - sy, y1 + sy
+        points = self.points.tolist()
+        for i, (x, y) in enumerate(points):
+            if not (left <= x <= right and top <= y <= bottom):
+                raise InvalidLandmarks(f"landmark {i} outside expanded bounding box")
         # The measurements fuse_sources reads, computed once. Coordinates near
         # the float limit overflow them to inf, which fuse_sources would turn
         # into NaN weights: such a set is rejected below, so numpy's overflow
         # warning is silenced here.
-        self.ys = ys = self.points[:, 1].tolist()
+        self.ys = ys = [y for _, y in points]
         self.eye_width, self.eye_gap, self.eye_center_y, self.brow_y = {}, {}, {}, {}
         with np.errstate(over="ignore"):
             for side, eye in _EYES.items():

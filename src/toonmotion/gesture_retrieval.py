@@ -142,7 +142,8 @@ def load_gesture_dataset(path: str | Path, embedder) -> GestureDataset:
 
         clip_path = base / clip_rel
         if not os.path.isfile(clip_path):  # False, not OSError, when too long
-            raise MissingClip(f"clip file not found for {entry_id!r}: {clip_path}")
+            raise MissingClip(f"clip file not found for {entry_id!r}: {clip_path}",
+                              file=path, line=line_no, field="clip")
         clip = parse_bvh(clip_path.read_bytes(), source_id=entry_id, file=clip_path)
         first = next(iter(clips.values()), clip)
         if not first.skeleton.matches(clip.skeleton):

@@ -6,7 +6,13 @@ manifests) goes through :func:`canonical_json` so repeated runs produce
 byte-identical files: keys sorted, reals fixed at 6 decimals, UTF-8, no
 platform-dependent float repr. :func:`format_float_blocks` prints float
 tables in that same 6-decimal form, a block of rows at a time, for the
-face-track frames here and the BVH motion rows.
+face-track frames here and the BVH motion rows. It builds each value from
+lookup words made once at import (sign and integer part, ``"."`` and three
+decimals, three decimals and a separator byte) indexed by the value scaled
+to an integer number of millionths, with no Python call per value. A block
+with a value that may round differently from ``"%.6f"`` (within a guard
+band of a half-millionth tie) or that needs four or more integer digits is
+printed by ``"%.6f" %`` instead, which stays the oracle of the word path.
 """
 
 from __future__ import annotations
@@ -26,25 +32,115 @@ import numpy as np
 
 from .errors import MalformedEntry, ValidationError
 
-# Rows formatted per string operation: one ``%`` over a block keeps the
-# per-value work in C, and a block's argument tuple stays a few MiB at most.
+# Rows formatted per block: for a 60-joint BVH table (183 values a row) a
+# block's lookup words take about 0.55 MiB and its fallback's argument tuple
+# a few MiB.
 FORMAT_BLOCK_ROWS = 256
 
 
-def format_float_blocks(table: np.ndarray, field_sep: str, row_sep: str,
-                        row_open: str = "", row_close: str = "") -> Iterator[str]:
-    """Yield the rows of a 2-D float array as text, FORMAT_BLOCK_ROWS per string.
+def _words(texts: Iterable[str]) -> np.ndarray:
+    """The little-endian uint32 words of 4-character ASCII texts."""
+    return np.frombuffer("".join(texts).encode("ascii"), dtype="<u4")
 
-    Each value prints as ``f"{v:.6f}"`` does (``"%.6f"`` gives the same text
-    for every finite float, ``-0.0`` included); fields are joined by
+
+# Lookup words of the "%.6f" fast path, NUL-padded. _SIGN_INT[i] is the
+# integer part 0..999 right-aligned, with a minus sign at i + 1000;
+# _DOT_HIGH[i] is "." and the first three decimals; _LOW[i] is the last
+# three decimals and a NUL byte left for the field separator.
+_SIGN_INT = _words(f"{sign}{i}".rjust(4, "\0") for sign in ("", "-") for i in range(1000))
+_DOT_HIGH = _words(f".{i:03d}" for i in range(1000))
+_LOW = _words(f"{i:03d}\0" for i in range(1000))
+
+# x * 1e6 is off the exact product by at most 2**-53 of it, so rint of its
+# size is the correctly rounded 6-decimal value unless that size lies within
+# _TIE_BAND of itself from a half-integer.
+_TIE_BAND = 2.3e-16
+
+
+def _padded_words(text: bytes, count: int) -> np.ndarray:
+    return np.frombuffer(text.rjust(4 * count, b"\0"), dtype="<u4")
+
+
+def _word_layout(cols: int, field_sep: str, row_sep: str, row_open: str,
+                 row_close: str) -> tuple[np.ndarray, ...] | None:
+    """The separator words of a row of *cols* values (per-column separator
+    bytes, opening words, closing words and the last row's closing words),
+    or None when the fast path cannot print the row."""
+    sep, opening, closing, last = (s.encode("utf-8") for s in (
+        field_sep, row_open, row_close + row_sep, row_close))
+    if cols == 0 or len(sep) != 1 or b"\0" in sep + opening + closing:
+        return None
+    field_seps = np.full(cols, sep[0] << 24, dtype="<u4")
+    field_seps[-1] = 0
+    count = -(-len(closing) // 4)
+    return (field_seps, _padded_words(opening, -(-len(opening) // 4)),
+            _padded_words(closing, count), _padded_words(last, count))
+
+
+def _format_block(block: np.ndarray, field_seps: np.ndarray, open_words: np.ndarray,
+                  close_words: np.ndarray, last_close_words: np.ndarray) -> bytes | None:
+    """The block's text from lookup words, or None when a value prints
+    with more than three integer digits or lies near a rounding tie."""
+    x = np.asarray(block, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        a = np.abs(x * 1e6)
+    k = np.rint(a)
+    if not (k < 1e9).all() or (0.5 - np.abs(a - k) <= a * _TIE_BAND).any():
+        return None
+    low = k.astype(np.uint32)
+    high = low // 1000
+    low -= high * 1000
+    whole = high // 1000
+    high -= whole * 1000
+    start, end = open_words.size, open_words.size + 3 * x.shape[1]
+    words = np.empty((x.shape[0], end + close_words.size), dtype="<u4")
+    words[:, :start] = open_words
+    words[:, start:end:3] = _SIGN_INT[whole + 1000 * np.signbit(x)]
+    words[:, start + 1:end:3] = _DOT_HIGH[high]
+    words[:, start + 2:end:3] = _LOW[low] | field_seps
+    words[:, end:] = close_words
+    words[-1, end:] = last_close_words
+    text = words.view(np.uint8).ravel()
+    return text[text != 0].tobytes()
+
+
+def _escape(text: str) -> str:
+    return text.replace("%", "%%")
+
+
+def format_float_blocks(table: np.ndarray, field_sep: str, row_sep: str,
+                        row_open: str = "", row_close: str = "") -> Iterator[bytes]:
+    """Yield the rows of a 2-D float array as UTF-8 text, FORMAT_BLOCK_ROWS
+    rows per bytes object.
+
+    Each value prints as ``"%.6f" % v`` does; fields are joined by
     *field_sep*, each row is wrapped in *row_open*/*row_close* and rows
     within a block are joined by *row_sep*. Joining the blocks with
     *row_sep* gives the whole table.
+
+    A block is assembled from little-endian uint32 lookup words, with no
+    Python call per value: per value, from ``k = rint(|v| * 1e6)`` and the
+    sign bit of ``v``, the sign and integer part, ``"."`` and three
+    decimals, and three decimals with the field separator; per row, words
+    for *row_open* and for *row_close* + *row_sep*. The NUL bytes that pad
+    the words are then dropped. A block falls back to one ``%`` operation,
+    the oracle of the fast path, when some ``|k|`` reaches 10**9 (four or
+    more integer digits, or a non-finite value) or some ``|v| * 1e6`` lies
+    within ``_TIE_BAND`` of itself from a half-integer, where its rint may
+    differ from the decimal rounding. So does every block of a table with
+    no columns, a field separator of other than one byte or a NUL in a
+    separator.
     """
-    row = row_open + field_sep.join(["%.6f"] * table.shape[1]) + row_close
+    cols = table.shape[1]
+    layout = _word_layout(cols, field_sep, row_sep, row_open, row_close)
+    row = _escape(row_open) + _escape(field_sep).join(["%.6f"] * cols) + _escape(row_close)
     for start in range(0, table.shape[0], FORMAT_BLOCK_ROWS):
         block = table[start:start + FORMAT_BLOCK_ROWS]
-        yield row_sep.join([row] * block.shape[0]) % tuple(block.ravel().tolist())
+        text = _format_block(block, *layout) if layout else None
+        if text is None:
+            rows = _escape(row_sep).join([row] * block.shape[0])
+            text = (rows % tuple(block.ravel().tolist())).encode("utf-8")
+        yield text
 
 
 def _non_finite(value: float) -> ValueError:
@@ -56,7 +152,7 @@ def _encode_float_table(table: np.ndarray, out: list[str]) -> None:
     if not finite.all():
         raise _non_finite(float(table[~finite][0]))
     out.append("[")
-    out.append(",".join(format_float_blocks(table, ",", ",", "[", "]")))
+    out.append(b",".join(format_float_blocks(table, ",", ",", "[", "]")).decode("ascii"))
     out.append("]")
 
 

@@ -12,6 +12,7 @@ import math
 import os
 import random
 from dataclasses import MISSING, dataclass, field, fields
+from functools import partial
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -73,26 +74,29 @@ class Config:
         """Stable hash of the configuration values as the file gave them."""
         return hashlib.sha256(canonical_json(self._raw).encode("utf-8")).hexdigest()
 
-    def validate(self):
+    def validate(self, file: str | Path | None = None):
+        """Raise ConfigError on the first value out of its range, naming
+        *file*, the config file the values came from, when given."""
+        error = partial(ConfigError, file=file)
         for f in fields(self):
             if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise ConfigError(f"{f.name} must be finite")
+                raise error(f"{f.name} must be finite")
         if self.provider_mode not in ("offline", "remote"):
-            raise ConfigError(f"provider_mode must be offline|remote, got {self.provider_mode!r}")
+            raise error(f"provider_mode must be offline|remote, got {self.provider_mode!r}")
         if self.provider_mode == "remote":
             if not self.embed_endpoint or not self.emotion_endpoint:
-                raise ConfigError("remote mode requires embed and emotion endpoints")
+                raise error("remote mode requires embed and emotion endpoints")
         if not 0.0 <= self.similarity_threshold <= 1.0:
-            raise ConfigError("similarity_threshold must be within [0, 1]")
+            raise error("similarity_threshold must be within [0, 1]")
         for name in ("blend_s",):
             if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
+                raise error(f"{name} must be >= 0")
         for name in ("transition_s", "blink_mean_gap_s", "blink_min_gap_s",
                      "fps", "timeout_s"):
             if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+                raise error(f"{name} must be positive")
         if self.retries < 0:
-            raise ConfigError("retries must be >= 0")
+            raise error("retries must be >= 0")
         for label, path in (
             ("gesture_dataset", self.gesture_dataset),
             ("expression_dataset", self.expression_dataset),
@@ -102,7 +106,7 @@ class Config:
             # os.path.isfile, unlike Path.is_file, is False (not an OSError)
             # for a path too long for the file system.
             if path is not None and not os.path.isfile(path):
-                raise ConfigError(f"{label} file not found: {path}")
+                raise error(f"{label} file not found: {path}")
 
 
 # The config file's keys are Config's public fields, each of the JSON kind of
@@ -118,14 +122,15 @@ def load_config(path: str | Path) -> Config:
     (TOONMOTION_EMBED_ENDPOINT / TOONMOTION_EMOTION_ENDPOINT).
     """
     path = Path(path)
-    raw = json_value(read_json(path, ConfigError), dict, "config", ConfigError)
+    error = partial(ConfigError, file=path)
+    raw = json_value(read_json(path, ConfigError), dict, "config", error)
 
     unknown = set(raw) - {f.name for f in _CONFIG_FIELDS}
     if unknown:
-        raise ConfigError(f"unknown config key {sorted(unknown)[0]!r}")
+        raise error(f"unknown config key {sorted(unknown)[0]!r}")
     for f in _CONFIG_FIELDS:
         if f.default is MISSING and f.name not in raw:
-            raise ConfigError(f"config is missing {f.name!r}")
+            raise error(f"config is missing {f.name!r}")
 
     merged = {f.name: f.default for f in _CONFIG_FIELDS if f.default is not MISSING}
     merged.update(raw)
@@ -142,14 +147,14 @@ def load_config(path: str | Path) -> Config:
         nullable = type(None) in get_args(hint)
         kind = get_args(hint)[0] if nullable else hint
         value = json_value(merged[f.name], str if kind is Path else kind,
-                           f"config key {f.name!r}", ConfigError, nullable=nullable)
+                           f"config key {f.name!r}", error, nullable=nullable)
         if kind is Path and value is not None:
             value = path.parent / value
         values[f.name] = value
     # Hash the pre-resolution values so the hash does not depend on where
     # the config file happens to live.
     config = Config(**values, _raw=merged)
-    config.validate()
+    config.validate(file=path)
     return config
 
 

@@ -81,21 +81,30 @@ def slerp(q0: np.ndarray, q1: np.ndarray, t) -> np.ndarray:
     t = np.asarray(t, dtype=np.float64)[..., np.newaxis]
 
     dot = np.sum(q0 * q1, axis=-1, keepdims=True)
-    q1 = np.where(dot < 0.0, -q1, q1)
-    dot = np.abs(dot)
+    # Shortest arc: multiplying by -1.0 negates exactly.
+    q1 = q1 * np.where(dot < 0.0, -1.0, 1.0)
+    dot = np.abs(dot, out=dot)
 
-    # Stable angles for the general branch; the near-parallel branch is
-    # overwritten with nlerp below.
-    dot_clamped = np.clip(dot, -1.0, 1.0)
-    theta = np.arccos(dot_clamped)
+    # Stable angles; each weight is computed in its own buffer.
+    theta = np.arccos(np.clip(dot, -1.0, 1.0))
     sin_theta = np.sin(theta)
-    safe_sin = np.where(sin_theta < 1e-12, 1.0, sin_theta)
-    w0 = np.sin((1.0 - t) * theta) / safe_sin
-    w1 = np.sin(t * theta) / safe_sin
-    out = w0 * q0 + w1 * q1
+    sin_theta[sin_theta < 1e-12] = 1.0
+    w0 = (1.0 - t) * theta
+    np.sin(w0, out=w0)
+    w0 /= sin_theta
+    w1 = t * theta
+    np.sin(w1, out=w1)
+    w1 /= sin_theta
+    out = np.multiply(w0, q0, order="C")
+    out += w1 * q1
 
-    near = np.broadcast_to(dot > _NLERP_DOT_THRESHOLD, out.shape)
-    lerped = (1.0 - t) * q0 + t * q1
-    out = np.where(near, lerped, out)
+    # Nearly parallel pairs take normalized lerp instead, computed only for
+    # their rows of the C-ordered result.
+    lead = out.shape[:-1] + (1,)
+    near = np.flatnonzero(np.broadcast_to(dot > _NLERP_DOT_THRESHOLD, lead))
+    if near.size:
+        t_near = np.broadcast_to(t, lead).reshape(-1, 1)[near]
+        out.reshape(-1, 4)[near] = (
+            (1.0 - t_near) * np.broadcast_to(q0, out.shape).reshape(-1, 4)[near]
+            + t_near * np.broadcast_to(q1, out.shape).reshape(-1, 4)[near])
     return normalize(out)
-

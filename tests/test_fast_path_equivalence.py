@@ -1,7 +1,8 @@
-"""The fast paths of the expression build against plain oracles kept here:
-canonical_json on float maps, the indexed lexicon scan, the landmark
-geometry of fuse_sources, and fuse_sources without a final clamp. Each must
-give exactly the oracle's output."""
+"""The fast paths against plain oracles kept here: canonical_json on float
+maps, the lookup-word "%.6f" float tables, the indexed lexicon scan, the
+landmark geometry of fuse_sources, fuse_sources without a final clamp,
+slerp with nlerp on nearly parallel rows only, and the landmark box test on
+Python floats. Each must give exactly the oracle's output."""
 
 import json
 import math
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from toonmotion.errors import InvalidLandmarks, ToonmotionError
 from toonmotion.expression_dataset import (
+    BBOX_SLACK,
     BROW_GAIN,
     BROW_NEUTRAL_RATIO,
     CORNER_SLOPE_GAIN,
@@ -27,8 +29,15 @@ from toonmotion.expression_dataset import (
     fuse_sources,
     parse_source_fixture,
 )
-from toonmotion.jsonutil import canonical_json, read_json
+from toonmotion import jsonutil
+from toonmotion.jsonutil import (
+    FORMAT_BLOCK_ROWS,
+    canonical_json,
+    format_float_blocks,
+    read_json,
+)
 from toonmotion.providers import LexiconEmotionProvider, load_emotion_lexicon
+from toonmotion.quat import _NLERP_DOT_THRESHOLD, normalize, slerp
 
 from conftest import FIXTURES, GOLDENS
 
@@ -98,6 +107,142 @@ def test_mixed_map_matches_reference(obj):
 def test_empty_map():
     assert canonical_json({}) == "{}"
     assert canonical_json({"a": {}}) == '{"a":{}}'
+
+
+# ------------------------------------------------------ "%.6f" float tables
+
+
+def reference_table(table, field_sep, row_sep, row_open="", row_close="") -> bytes:
+    """Value by value through ``"%.6f" %``, the oracle of the word path."""
+    return row_sep.join(row_open + field_sep.join("%.6f" % v for v in row) + row_close
+                        for row in np.asarray(table).tolist()).encode("utf-8")
+
+
+def formatted(table, field_sep, row_sep, row_open="", row_close="") -> bytes:
+    return row_sep.encode("utf-8").join(
+        format_float_blocks(table, field_sep, row_sep, row_open, row_close))
+
+
+# The separators of the BVH motion table and of canonical_json's float rows.
+LAYOUTS = [(" ", "\n", "", ""), (",", ",", "[", "]")]
+
+
+@given(st.lists(st.floats(-2000.0, 2000.0, exclude_min=True, exclude_max=True),
+                min_size=1, max_size=600),
+       st.integers(1, 7), st.sampled_from(LAYOUTS))
+@settings(max_examples=300, deadline=None)
+def test_table_matches_percent_format(values, cols, layout):
+    rows = -(-len(values) // cols)
+    table = np.resize(np.array(values), rows * cols).reshape(rows, cols)
+    assert formatted(table, *layout) == reference_table(table, *layout)
+
+
+FIXED_VALUES = [
+    -0.0, 0.0, -1e-9, 1e-9, 999.9999995, -999.9999995, 999.999999, -999.999999,
+    1e9, -1e9, 1 / 128, 3 / 128, -1 / 128, -3 / 128, 5e-324, -5e-324, 4.9999999e-7,
+    -4.9999999e-7, 5e-7, 0.5, 1.0000005, 123.4564999, 999.0, 1000.0, -1000.0,
+]
+
+
+@pytest.mark.parametrize("layout", LAYOUTS, ids=["bvh", "json"])
+def test_fixed_values_match_percent_format(layout):
+    for value in FIXED_VALUES:  # each alone, so no other value picks its path
+        table = np.array([[value]])
+        assert formatted(table, *layout) == reference_table(table, *layout), value
+    table = np.resize(np.array(FIXED_VALUES), (7, 5))
+    assert formatted(table, *layout) == reference_table(table, *layout)
+
+
+@pytest.mark.parametrize("table", [
+    np.zeros((0, 5)),
+    np.zeros((4, 0)),
+    np.arange(60.0).reshape(6, 10)[1:5:2, ::3] / 7,
+    np.arange(40, dtype=np.float32).reshape(4, 10) / 3,
+], ids=["zero-rows", "zero-columns", "non-contiguous", "float32"])
+@pytest.mark.parametrize("layout", LAYOUTS, ids=["bvh", "json"])
+def test_table_shapes_match_percent_format(table, layout):
+    assert formatted(table, *layout) == reference_table(table, *layout)
+
+
+@pytest.mark.parametrize("layout", [
+    ("", "\n", "", ""), (", ", ";\n", "<<row>> ", " <</row>>"), ("%", "%%", "%s", "%d"),
+    ("\0", "\n", "", ""), (" ", "\n", "\0", ""), ("é", "\n", "", ""), ("|", "\n", "«", "»\n"),
+], ids=["no-field-sep", "long-seps", "percent", "nul-field-sep", "nul-open",
+        "two-byte-field-sep", "non-ascii-row"])
+def test_any_separators_match_percent_format(layout):
+    table = np.random.default_rng(5).uniform(-500.0, 500.0, (300, 3))
+    assert formatted(table, *layout) == reference_table(table, *layout)
+
+
+def test_block_with_fallback_values_matches_percent_format():
+    """Blocks holding a near tie, a large value or a NaN print by ``%``;
+    the blocks around them and their other values print the same."""
+    table = np.random.default_rng(6).uniform(-180.0, 180.0, (4 * FORMAT_BLOCK_ROWS, 9))
+    table[FORMAT_BLOCK_ROWS + 3, 4] = 1 / 128
+    table[2 * FORMAT_BLOCK_ROWS, 0] = 12345.678
+    table[3 * FORMAT_BLOCK_ROWS + 7, 8] = math.nan
+    for layout in (" ", "\n"), (",", ",", "[", "]"):
+        assert formatted(table, *layout) == reference_table(table, *layout)
+
+
+def test_ordinary_blocks_take_the_word_path(monkeypatch):
+    fast = []
+
+    def counted(*args):
+        text = format_block(*args)
+        fast.append(text is not None)
+        return text
+
+    format_block = jsonutil._format_block
+    monkeypatch.setattr(jsonutil, "_format_block", counted)
+    table = np.random.default_rng(7).uniform(-999.0, 999.0, (3 * FORMAT_BLOCK_ROWS, 6))
+    assert formatted(table, " ", "\n") == reference_table(table, " ", "\n")
+    assert fast == [True, True, True]
+
+
+def near_tie_values() -> np.ndarray:
+    """Values up to 4 ulps from a half-micro tie, in the fast path's range."""
+    ties = (np.random.default_rng(8).integers(-999_999_999, 999_999_999, 2000) + 0.5) / 1e6
+    values = [ties]
+    for direction in (math.inf, -math.inf):
+        moved = ties
+        for _ in range(4):
+            moved = np.nextafter(moved, direction)
+            values.append(moved)
+    return np.concatenate(values).reshape(-1, 1)
+
+
+def test_near_ties_match_percent_format():
+    table = near_tie_values()
+    assert formatted(table, " ", "\n") == reference_table(table, " ", "\n")
+
+
+def test_near_tie_guard_is_load_bearing(monkeypatch):
+    # Without the guard, rint of the rounded product misses some decimal
+    # roundings near a tie.
+    monkeypatch.setattr(jsonutil, "_TIE_BAND", -1.0)
+    table = near_tie_values()
+    got = formatted(table, " ", "\n").split(b"\n")
+    expected = reference_table(table, " ", "\n").split(b"\n")
+    assert sum(a != b for a, b in zip(got, expected)) > 100
+
+
+BUNDLES = sorted((GOLDENS / "bundles").iterdir())
+
+
+@pytest.mark.parametrize("bundle", BUNDLES, ids=lambda p: p.name)
+def test_golden_tables_format_to_their_bytes(bundle):
+    """The motion rows of body.bvh and the frames of face.json, read back
+    as floats, print to the golden bytes by both paths."""
+    bvh = (bundle / "body.bvh").read_bytes()
+    motion = bvh.split(b"Frame Time: ")[1].split(b"\n", 1)[1]
+    table = np.array([line.split() for line in motion.splitlines()], dtype=np.float64)
+    assert formatted(table, " ", "\n") + b"\n" == motion
+    assert reference_table(table, " ", "\n") + b"\n" == motion
+    face = (bundle / "face.json").read_text("utf-8")
+    frames = np.array(json.loads(face)["frames"], dtype=np.float64)
+    assert '"frames":' + canonical_json(frames) + "," in face
+    assert "[" + reference_table(frames, ",", ",", "[", "]").decode() + "]" in face
 
 
 # ------------------------------------------------------------------ lexicon
@@ -304,3 +449,111 @@ def test_fuse_matches_fusion_with_a_final_clamp(tags, answers, fractions,
     assert all(0.0 <= v <= 1.0 for v in shapes.values())
     assert bits(shapes) == bits(fuse_with_final_clamp(tags, landmarks, poses))
 
+
+
+# ------------------------------------------------------------------- slerp
+
+
+def reference_slerp(q0, q1, t):
+    """slerp as it was: nlerp computed for every row, then discarded by
+    ``np.where`` where the pair is not nearly parallel."""
+    q0 = np.asarray(q0, dtype=np.float64)
+    q1 = np.asarray(q1, dtype=np.float64)
+    t = np.asarray(t, dtype=np.float64)[..., np.newaxis]
+    dot = np.sum(q0 * q1, axis=-1, keepdims=True)
+    q1 = np.where(dot < 0.0, -q1, q1)
+    dot = np.abs(dot)
+    theta = np.arccos(np.clip(dot, -1.0, 1.0))
+    sin_theta = np.sin(theta)
+    safe_sin = np.where(sin_theta < 1e-12, 1.0, sin_theta)
+    w0 = np.sin((1.0 - t) * theta) / safe_sin
+    w1 = np.sin(t * theta) / safe_sin
+    out = w0 * q0 + w1 * q1
+    near = np.broadcast_to(dot > _NLERP_DOT_THRESHOLD, out.shape)
+    lerped = (1.0 - t) * q0 + t * q1
+    return normalize(np.where(near, lerped, out))
+
+
+def unit_quats(rng, shape):
+    return normalize(rng.normal(size=shape + (4,)))
+
+
+def turned(rng, q, angle):
+    """*q* turned by *angle* radians about a random axis."""
+    axis = normalize(np.concatenate([np.zeros(q.shape[:-1] + (1,)),
+                                     rng.normal(size=q.shape[:-1] + (3,))], axis=-1))
+    half = np.asarray(angle)[..., np.newaxis] / 2.0
+    turn = np.cos(half) * np.array([1.0, 0.0, 0.0, 0.0]) + np.sin(half) * axis
+    w0, v0 = q[..., :1], q[..., 1:]
+    w1, v1 = turn[..., :1], turn[..., 1:]
+    return np.concatenate([w0 * w1 - np.sum(v0 * v1, axis=-1, keepdims=True),
+                           w0 * v1 + w1 * v0 + np.cross(v0, v1)], axis=-1)
+
+
+# Angles between the pair from far apart to both sides of the nlerp
+# threshold (dot = 1 - 1e-9 is a half-angle of about 4.5e-5).
+ANGLES = [2.5, 1e-2, 1e-4, 9.2e-5, 8.8e-5, 1e-5, 0.0]
+
+
+@pytest.mark.parametrize("angle", ANGLES)
+@pytest.mark.parametrize("t_shape", [(), (64, 1), (64, 5)], ids=["scalar-t", "per-frame-t",
+                                                                  "per-joint-t"])
+def test_slerp_matches_reference(angle, t_shape):
+    rng = np.random.default_rng(9)
+    q0 = unit_quats(rng, (64, 5))
+    q1 = turned(rng, q0, np.full((64, 5), angle))
+    q1[::3] *= -1.0  # the other cover of the same rotation
+    t = rng.uniform(0.0, 1.0, t_shape)
+    np.testing.assert_array_equal(slerp(q0, q1, t), reference_slerp(q0, q1, t))
+
+
+@pytest.mark.parametrize("t", [0.0, 0.3, 1.0, np.linspace(0.0, 1.0, 7)[:, None]],
+                         ids=["t0", "t-mid", "t1", "t-column"])
+def test_slerp_edge_pairs_match_reference(t):
+    rng = np.random.default_rng(10)
+    q0 = unit_quats(rng, (7, 3))
+    mixed = np.where(rng.random((7, 3, 1)) < 0.5, q0, unit_quats(rng, (7, 3)))
+    for q1 in (q0, -q0, unit_quats(rng, (7, 3)), mixed):  # equal, antipodal, random, both
+        np.testing.assert_array_equal(slerp(q0, q1, t), reference_slerp(q0, q1, t))
+    # One quaternion against many, and a single pair.
+    np.testing.assert_array_equal(slerp(q0[0, 0], q0, t), reference_slerp(q0[0, 0], q0, t))
+    np.testing.assert_array_equal(slerp(q0[0, 0], -q0[0, 0], 0.25),
+                                  reference_slerp(q0[0, 0], -q0[0, 0], 0.25))
+
+
+# ---------------------------------------------------- landmark box test
+
+
+def reference_box_fault(points, bbox) -> str | None:
+    """The box test as numpy column comparisons: the first landmark out of
+    the slack-expanded box, or None."""
+    points = np.asarray(points, dtype=np.float64)
+    x0, y0, x1, y1 = map(float, bbox)
+    sx, sy = (x1 - x0) * BBOX_SLACK, (y1 - y0) * BBOX_SLACK
+    inside = ((points[:, 0] >= x0 - sx) & (points[:, 0] <= x1 + sx)
+              & (points[:, 1] >= y0 - sy) & (points[:, 1] <= y1 + sy))
+    if inside.all():
+        return None
+    return f"landmark {int(np.flatnonzero(~inside)[0])} outside expanded bounding box"
+
+
+BOX = (100.0, 100.0, 300.0, 320.0)
+# The expanded box's edges and their neighbouring floats.
+EDGES = [BOX[0] - 200.0 * BBOX_SLACK, BOX[2] + 200.0 * BBOX_SLACK,
+         BOX[1] - 220.0 * BBOX_SLACK, BOX[3] + 220.0 * BBOX_SLACK]
+COORDS = st.one_of(st.floats(50.0, 370.0), st.sampled_from(
+    [math.nan, math.inf, -math.inf, *EDGES, *np.nextafter(EDGES, math.inf).tolist(),
+     *np.nextafter(EDGES, -math.inf).tolist()]))
+
+
+@given(st.lists(st.tuples(COORDS, COORDS), min_size=28, max_size=28))
+@example([(200.0, 200.0)] * 27 + [(math.nan, 200.0)])
+@settings(max_examples=300, deadline=None)
+def test_box_test_matches_reference(points):
+    try:
+        LandmarkSet(points=[list(p) for p in points], bbox=BOX)
+    except InvalidLandmarks as exc:  # the box fault, or one found after it
+        got = str(exc) if "outside" in str(exc) else None
+    else:
+        got = None
+    assert got == reference_box_fault(points, BOX)

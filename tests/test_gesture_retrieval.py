@@ -120,10 +120,14 @@ class TestLoading:
 
     def test_missing_clip_file(self, tmp_path, embedder):
         path = write_dataset(
-            tmp_path, [row("g1", "hi", clip="clips/nope.bvh"), NEUTRAL_ROW]
+            tmp_path, [NEUTRAL_ROW, row("g1", "hi", clip="clips/nope.bvh")]
         )
-        with pytest.raises(MissingClip):
+        with pytest.raises(MissingClip) as info:
             load_gesture_dataset(path, embedder)
+        # Located like every other record fault: dataset file, line, field.
+        assert (info.value.file, info.value.line, info.value.field) == (path, 2, "clip")
+        assert str(info.value) == (f"{path}: line 2: clip file not found for 'g1': "
+                                   f"{tmp_path / 'clips' / 'nope.bvh'} (field: clip)")
 
     def test_clip_path_too_long_for_the_file_system(self, tmp_path, embedder):
         path = write_dataset(tmp_path, [row("g1", "hi", clip="x" * 5000), NEUTRAL_ROW])

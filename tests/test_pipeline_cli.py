@@ -176,8 +176,29 @@ class TestConfig:
                      "--config", str(config), "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith("error: viseme_table file not found: ")
+        assert err.startswith(f"error: {config}: viseme_table file not found: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"fpz": 3}, "unknown config key 'fpz'"),
+        ({"gesture_dataset": None}, "config key 'gesture_dataset' must be a string, not null"),
+        ({"fps": "30"}, "config key 'fps' must be a number, not a string"),
+        ({"fps": 0}, "fps must be positive"),
+        ({"similarity_threshold": 1.5}, "similarity_threshold must be within [0, 1]"),
+        ({"viseme_table": "nope.json"}, "viseme_table file not found: {dir}/nope.json"),
+    ], ids=["unknown_key", "null_path", "mistyped", "fps_zero", "threshold", "missing_file"])
+    def test_fault_names_the_config_file(self, tmp_path, overrides, message):
+        path = write_config(tmp_path, **overrides)
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == f"{path}: " + message.format(dir=tmp_path)
+
+    def test_missing_key_names_the_config_file(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"gesture_dataset": "g.jsonl"}), encoding="utf-8")
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == f"{path}: config is missing 'expression_dataset'"
 
     def test_hash_is_stable_across_locations(self, tmp_path):
         a = load_config(write_config(tmp_path / "a", **{}))
@@ -240,14 +261,14 @@ class TestConfig:
         if key == "embed_endpoint":
             overrides.update(provider_mode="remote",
                              emotion_endpoint="http://localhost:1/m")
+        config = write_config(tmp_path, **overrides)
         code = main([
             "synthesize", "--text", "Hello there.", "--duration", "2.0",
-            "--config", str(write_config(tmp_path, **overrides)),
-            "--out", str(tmp_path / "out"),
+            "--config", str(config), "--out", str(tmp_path / "out"),
         ])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: config key {key!r} ")
+        assert err.startswith(f"error: {config}: config key {key!r} ")
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
