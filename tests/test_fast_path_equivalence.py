@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from toonmotion import jsonutil
 from toonmotion.errors import InvalidLandmarks, ToonmotionError
 from toonmotion.expression_dataset import (
     BBOX_SLACK,
@@ -29,7 +30,6 @@ from toonmotion.expression_dataset import (
     fuse_sources,
     parse_source_fixture,
 )
-from toonmotion import jsonutil
 from toonmotion.jsonutil import (
     FORMAT_BLOCK_ROWS,
     canonical_json,
