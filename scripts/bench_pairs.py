@@ -1,21 +1,22 @@
 """Alternating parent/change benchmark pairs, recorded to a BENCH file.
 
     python scripts/bench_pairs.py --parent REV [--change REV] --workload NAME \
-        [--pairs 10] [--seconds 40] [--seed 1] --claim METRIC --out BENCH_N.json
+        [--pairs 10] [--seed 1] --claim METRIC --out BENCH_N.json
     python scripts/bench_pairs.py --check BENCH_N.json
 
 The first form exports both revisions with ``git archive`` into a temporary
-directory and runs ``toonbench/run.py --trace 0`` once per side per pair,
-the side that runs first alternating from pair to pair. Pair ``i`` uses seed
-``--seed + i`` on both sides. Every run's metrics go to the BENCH file with
+directory and runs ``toonbench/run.py --trace 0`` once per side per pair
+for the ``run_seconds`` of ``BENCHMARK.json``, the side that runs first
+alternating from pair to pair. Pair ``i`` uses seed ``--seed + i`` on both
+sides. Every run's metrics go to the BENCH file with
 a summary per end-to-end metric of ``BENCHMARK.json`` (each side's median
 and quartiles, and the pairs the change won), the two revisions, the CPU
 count, a machine id and the Python, numpy and scipy versions.
 
 ``--check`` recomputes the summary from the stored runs and applies the
-rule a speed claim must meet: at least 10 pairs, every run correct with no
-failed operation, the change better on at least 9 of 10 pairs for the
-claimed metric (ties count for neither side), and the medians apart, in the
+rule a speed claim must meet: runs of ``run_seconds``, at least 10 pairs,
+every run correct with no failed operation, the change better on at least
+9 of 10 pairs for the claimed metric (ties count for neither side), and the medians apart, in the
 better direction, by more than the parent's interquartile range. It refuses
 a file whose runs come from more than one machine. It also lists every
 other end-to-end metric whose change median is worse than the parent's by
@@ -48,9 +49,12 @@ MIN_PAIRS = 10
 MIN_WIN_SHARE = 0.9
 
 
+def benchmark_spec() -> dict:
+    return json.loads((ROOT / "BENCHMARK.json").read_text("utf-8"))
+
+
 def end_to_end_metrics() -> dict[str, dict]:
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text("utf-8"))
-    return {m["name"]: m for m in spec["end_to_end"]}
+    return {m["name"]: m for m in benchmark_spec()["end_to_end"]}
 
 
 def machine_id() -> str:
@@ -105,7 +109,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 
 def record(args) -> dict:
     revisions = {"parent": resolve(args.parent), "change": resolve(args.change)}
-    work = Path(tempfile.mkdtemp(prefix="bench-pairs-", dir=args.work_dir))
+    seconds = benchmark_spec()["run_seconds"]
+    work = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     runs = []
     try:
         for side, rev in revisions.items():
@@ -114,7 +119,7 @@ def record(args) -> dict:
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                run = run_once(work / side, args.workload, args.seed + i, args.seconds)
+                run = run_once(work / side, args.workload, args.seed + i, seconds)
                 runs.append({"pair": i, "side": side, "seed": args.seed + i,
                              "machine_id": host, **run})
                 print(f"pair {i} {side}: " + json.dumps(run["metrics"]),
@@ -122,7 +127,7 @@ def record(args) -> dict:
     finally:
         shutil.rmtree(work, ignore_errors=True)
     bench = {
-        "workload": args.workload, "seconds": args.seconds, "claim": args.claim,
+        "workload": args.workload, "seconds": seconds, "claim": args.claim,
         "revisions": revisions, "cpu_count": os.cpu_count(), "machine_id": host,
         "python": platform.python_version(),
         "numpy": metadata.version("numpy"), "scipy": metadata.version("scipy"),
@@ -172,6 +177,9 @@ def check(bench: dict) -> list[str]:
     faults = [f"pair {run['pair']} {run['side']}: correct={run['correct']}, "
               f"failed={run['failed']}"
               for run in bench["runs"] if run["correct"] is not True or run["failed"]]
+    seconds = benchmark_spec()["run_seconds"]
+    if bench["seconds"] != seconds:
+        faults.append(f"runs of {bench['seconds']} s, not the benchmark's {seconds} s")
     summary = summarize(bench)
     if summary["pairs"] < MIN_PAIRS:
         faults.append(f"{summary['pairs']} pairs, fewer than {MIN_PAIRS}")
@@ -203,12 +211,9 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--change", metavar="REV", default="HEAD")
     parser.add_argument("--workload")
     parser.add_argument("--pairs", type=int, default=MIN_PAIRS)
-    parser.add_argument("--seconds", type=float, default=40.0)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--claim", default="work_per_s", choices=end_to_end_metrics())
     parser.add_argument("--out", type=Path)
-    parser.add_argument("--work-dir", type=Path, default=None,
-                        help="where to export the two revisions (default: a temp dir)")
     args = parser.parse_args(argv)
     if args.check is not None:
         try:

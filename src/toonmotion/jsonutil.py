@@ -65,16 +65,18 @@ def _word_layout(cols: int, field_sep: str, row_sep: str, row_open: str,
                  row_close: str) -> tuple[np.ndarray, ...] | None:
     """The separator words of a row of *cols* values (per-column separator
     bytes, opening words, closing words and the last row's closing words),
-    or None when the fast path cannot print the row."""
-    sep, opening, closing, last = (s.encode("utf-8") for s in (
-        field_sep, row_open, row_close + row_sep, row_close))
-    if cols == 0 or len(sep) != 1 or b"\0" in sep + opening + closing:
+    or None for a row with no values."""
+    seps = (field_sep, row_sep, row_open, row_close)
+    assert len(field_sep) == 1 and all(
+        len(s) <= 1 and s.isascii() and s not in ("\0", "%") for s in seps), seps
+    if cols == 0:
         return None
-    field_seps = np.full(cols, sep[0] << 24, dtype="<u4")
+    field_seps = np.full(cols, ord(field_sep) << 24, dtype="<u4")
     field_seps[-1] = 0
-    count = -(-len(closing) // 4)
-    return (field_seps, _padded_words(opening, -(-len(opening) // 4)),
-            _padded_words(closing, count), _padded_words(last, count))
+    opening, closing, last = (s.encode("ascii") for s in (
+        row_open, row_close + row_sep, row_close))
+    return (field_seps, _padded_words(opening, len(opening)),
+            _padded_words(closing, 1), _padded_words(last, 1))
 
 
 def _format_block(block: np.ndarray, field_seps: np.ndarray, open_words: np.ndarray,
@@ -104,19 +106,16 @@ def _format_block(block: np.ndarray, field_seps: np.ndarray, open_words: np.ndar
     return text[text != 0].tobytes()
 
 
-def _escape(text: str) -> str:
-    return text.replace("%", "%%")
-
-
 def format_float_blocks(table: np.ndarray, field_sep: str, row_sep: str,
                         row_open: str = "", row_close: str = "") -> Iterator[bytes]:
-    """Yield the rows of a 2-D float array as UTF-8 text, FORMAT_BLOCK_ROWS
+    """Yield the rows of a 2-D float array as ASCII text, FORMAT_BLOCK_ROWS
     rows per bytes object.
 
     Each value prints as ``"%.6f" % v`` does; fields are joined by
     *field_sep*, each row is wrapped in *row_open*/*row_close* and rows
     within a block are joined by *row_sep*. Joining the blocks with
-    *row_sep* gives the whole table.
+    *row_sep* gives the whole table. Each separator is at most one ASCII
+    character (*field_sep* exactly one), neither NUL nor ``%``.
 
     A block is assembled from little-endian uint32 lookup words, with no
     Python call per value: per value, from ``k = rint(|v| * 1e6)`` and the
@@ -128,18 +127,17 @@ def format_float_blocks(table: np.ndarray, field_sep: str, row_sep: str,
     more integer digits, or a non-finite value) or some ``|v| * 1e6`` lies
     within ``_TIE_BAND`` of itself from a half-integer, where its rint may
     differ from the decimal rounding. So does every block of a table with
-    no columns, a field separator of other than one byte or a NUL in a
-    separator.
+    no columns.
     """
     cols = table.shape[1]
     layout = _word_layout(cols, field_sep, row_sep, row_open, row_close)
-    row = _escape(row_open) + _escape(field_sep).join(["%.6f"] * cols) + _escape(row_close)
+    row = row_open + field_sep.join(["%.6f"] * cols) + row_close
     for start in range(0, table.shape[0], FORMAT_BLOCK_ROWS):
         block = table[start:start + FORMAT_BLOCK_ROWS]
         text = _format_block(block, *layout) if layout else None
         if text is None:
-            rows = _escape(row_sep).join([row] * block.shape[0])
-            text = (rows % tuple(block.ravel().tolist())).encode("utf-8")
+            rows = row_sep.join([row] * block.shape[0])
+            text = (rows % tuple(block.ravel().tolist())).encode("ascii")
         yield text
 
 

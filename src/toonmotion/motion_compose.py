@@ -23,8 +23,8 @@ from .quat import slerp
 MIN_TIME_SCALE = 0.5
 MAX_TIME_SCALE = 2.0
 
-# slerp allocates about a dozen temporaries the size of its input; blending
-# in blocks of this many frames keeps them small on long tracks.
+# slerp allocates its temporaries at the size of its input; blending in
+# blocks of this many frames keeps them small on long tracks.
 _BLOCK_FRAMES = 256
 
 

