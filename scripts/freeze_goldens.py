@@ -60,6 +60,10 @@ BUNDLE_REQUESTS = {
                 "Look over there. I see, go on. Zqxv jkwp. That is wonderful!",
         "duration": 3.0, "seed": 4, "phonemes": None,
     },
+    # Kana, romaji, long marks and small kana in one line: the lip-sync
+    # fallback reads its vowels in reading order across both scripts.
+    "mixed_script": {"text": "すごーい、Niceー！きゃhello。ちょっとOKね",
+                     "duration": 4.0, "seed": 8, "phonemes": None},
     "long_phonemes": {
         "text": "Hello there. It was this big, really truly important! "
                 "Look over there. I see, go on. That is wonderful! "

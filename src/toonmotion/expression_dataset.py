@@ -475,7 +475,8 @@ def build_dataset(
     Per-image failures, a `ToonmotionError` or an `OSError` reading the
     fixture, are collected into the report instead of aborting. A
     `ProviderError` (an emotion provider outage) aborts the build, as does
-    any other exception.
+    any other exception, and so does the `OSError` of listing *sources_dir*
+    when it is missing or not a directory.
     Output is sorted by entry id, so the result is independent of directory
     iteration order; with the offline provider it is byte-stable.
     """
@@ -484,7 +485,8 @@ def build_dataset(
     report = BuildReport()
     entries: list[ExpressionEntry] = []
 
-    for fixture in sorted(sources_dir.glob("*.json")):
+    # Unlike glob, iterdir raises an OSError for a missing path or a file.
+    for fixture in sorted(p for p in sources_dir.iterdir() if p.match("*.json")):
         try:
             raw = read_json(fixture)
             image_id, dialogue, tags, landmarks, answers = parse_source_fixture(raw)

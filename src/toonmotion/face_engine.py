@@ -95,8 +95,10 @@ def load_phoneme_file(path: str | Path) -> list[PhonemeEvent]:
     return events
 
 
-_VOWEL_GROUP_RE = re.compile(r"[aeiouy]+")
-_WORD_RE = re.compile(r"[a-zA-Z']+")
+# An ASCII word, or any other single character.
+_TOKEN_RE = re.compile(r"([a-zA-Z']+)|(.)")
+# The first vowel of each vowel group, once "y" reads as "i".
+_VOWEL_GROUP_RE = re.compile(r"([aeiou])[aeiou]*")
 
 _KANA_VOWEL_ROWS = {
     "a": "あかがさざただなはばぱまやらわアカガサザタダナハバパマヤラワ",
@@ -111,51 +113,31 @@ _SMALL_KANA_VOWEL = {
     "ぁ": "a", "ァ": "a", "ぃ": "i", "ィ": "i", "ぅ": "u", "ゥ": "u",
     "ぇ": "e", "ェ": "e", "ぉ": "o", "ォ": "o",
 }
-_SKIP_KANA = "っッ"
 
 
 def _text_vowels(text: str) -> list[str]:
-    """Naive mora/syllable vowel sequence for the lip-sync fallback."""
+    """Naive mora/syllable vowel sequence for the lip-sync fallback, read
+    left to right.
+
+    An ASCII word gives one vowel per vowel group (``y`` counts as ``i``),
+    or ``u`` if it has none. ``ー`` repeats the vowel before it and a small
+    kana replaces it. A kana gives its row's vowel and a kanji ``a``;
+    anything else, ``っ`` included, gives nothing.
+    """
     vowels: list[str] = []
-    ascii_spans = []
-    for m in _WORD_RE.finditer(text):
-        ascii_spans.append((m.start(), m.end()))
-        groups = _VOWEL_GROUP_RE.findall(m.group().lower())
-        if not groups:
-            vowels.append(("u", m.start()))
-            continue
-        for g in groups:
-            first = g[0]
-            vowels.append(("i" if first == "y" else first, m.start()))
-
-    covered = [False] * len(text)
-    for a, b in ascii_spans:
-        for i in range(a, b):
-            covered[i] = True
-
-    # Interleave by position so mixed-script text keeps reading order.
-    positioned = list(vowels)
-    for i, ch in enumerate(text):
-        if covered[i]:
-            continue
-        if ch in _SKIP_KANA:
-            continue
-        if ch in _SMALL_KANA_VOWEL:
-            if positioned:
-                prev_v, prev_pos = positioned[-1]
-                if prev_pos < i:
-                    positioned[-1] = (_SMALL_KANA_VOWEL[ch], prev_pos)
-            continue
-        if ch == "ー":
-            if positioned:
-                positioned.append((positioned[-1][0], i))
-            continue
-        if ch in _KANA_VOWEL:
-            positioned.append((_KANA_VOWEL[ch], i))
+    for word, ch in _TOKEN_RE.findall(text):
+        if word:
+            vowels += _VOWEL_GROUP_RE.findall(word.lower().replace("y", "i")) or ["u"]
+        elif ch == "ー":
+            vowels += vowels[-1:]
+        elif ch in _SMALL_KANA_VOWEL:
+            if vowels:
+                vowels[-1] = _SMALL_KANA_VOWEL[ch]
+        elif ch in _KANA_VOWEL:
+            vowels.append(_KANA_VOWEL[ch])
         elif "一" <= ch <= "鿿":
-            positioned.append(("a", i))
-    positioned.sort(key=lambda pair: pair[1])
-    return [v for v, _ in positioned]
+            vowels.append("a")
+    return vowels
 
 
 def fallback_phonemes(text: str, duration_s: float) -> list[PhonemeEvent]:

@@ -9,10 +9,11 @@ tables in that same 6-decimal form, a block of rows at a time, for the
 face-track frames here and the BVH motion rows. It builds each value from
 lookup words made once at import (sign and integer part, ``"."`` and three
 decimals, three decimals and a separator byte) indexed by the value scaled
-to an integer number of millionths, with no Python call per value. A block
-with a value that may round differently from ``"%.6f"`` (within a guard
-band of a half-millionth tie) or that needs four or more integer digits is
-printed by ``"%.6f" %`` instead, which stays the oracle of the word path.
+to an integer number of millionths, with no Python call per value, and
+deletes their NUL padding with ``bytes.translate``. A block with a value
+that may round differently from ``"%.6f"`` (within a guard band of a
+half-millionth tie) or that needs four or more integer digits is printed
+by ``"%.6f" %`` instead, which stays the oracle of the word path.
 """
 
 from __future__ import annotations
@@ -102,8 +103,7 @@ def _format_block(block: np.ndarray, field_seps: np.ndarray, open_words: np.ndar
     words[:, start + 2:end:3] = _LOW[low] | field_seps
     words[:, end:] = close_words
     words[-1, end:] = last_close_words
-    text = words.view(np.uint8).ravel()
-    return text[text != 0].tobytes()
+    return words.tobytes().translate(None, b"\0")
 
 
 def format_float_blocks(table: np.ndarray, field_sep: str, row_sep: str,
@@ -121,13 +121,13 @@ def format_float_blocks(table: np.ndarray, field_sep: str, row_sep: str,
     Python call per value: per value, from ``k = rint(|v| * 1e6)`` and the
     sign bit of ``v``, the sign and integer part, ``"."`` and three
     decimals, and three decimals with the field separator; per row, words
-    for *row_open* and for *row_close* + *row_sep*. The NUL bytes that pad
-    the words are then dropped. A block falls back to one ``%`` operation,
-    the oracle of the fast path, when some ``|k|`` reaches 10**9 (four or
-    more integer digits, or a non-finite value) or some ``|v| * 1e6`` lies
-    within ``_TIE_BAND`` of itself from a half-integer, where its rint may
-    differ from the decimal rounding. So does every block of a table with
-    no columns.
+    for *row_open* and for *row_close* + *row_sep*. One ``bytes.translate``
+    then deletes the NUL bytes that pad the words. A block falls back to one
+    ``%`` operation, the oracle of the fast path, when some ``|k|`` reaches
+    10**9 (four or more integer digits, or a non-finite value) or some
+    ``|v| * 1e6`` lies within ``_TIE_BAND`` of itself from a half-integer,
+    where its rint may differ from the decimal rounding. So does every block
+    of a table with no columns.
     """
     cols = table.shape[1]
     layout = _word_layout(cols, field_sep, row_sep, row_open, row_close)

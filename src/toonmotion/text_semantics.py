@@ -132,12 +132,7 @@ def reference_embed(text: str) -> np.ndarray:
             bucket = int.from_bytes(digest[:4], "big") % REFERENCE_DIM
             sign = 1.0 if digest[4] % 2 == 0 else -1.0
             acc[bucket] += sign
-    norm = float(np.linalg.norm(acc))
-    if norm == 0.0:
-        basis = np.zeros(REFERENCE_DIM, dtype=np.float64)
-        basis[0] = 1.0
-        return basis
-    return acc / norm
+    return _as_unit(acc)
 
 
 def _as_unit(vec: np.ndarray) -> np.ndarray:

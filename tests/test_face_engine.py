@@ -251,6 +251,14 @@ class TestFallbackPhonemes:
         assert [e.phoneme for e in fallback_phonemes("きゃ", 1.0)] == ["a"]
         assert [e.phoneme for e in fallback_phonemes("ちょっと", 1.0)] == ["o", "o"]
 
+    @pytest.mark.parametrize("text, vowels", [
+        ("あhelloー", ["a", "e", "o", "o"]),
+        ("きhelloゃ", ["i", "e", "a"]),
+        ("ーhello", ["e", "o"]),
+    ])
+    def test_marks_act_on_the_vowel_before_them_in_reading_order(self, text, vowels):
+        assert [e.phoneme for e in fallback_phonemes(text, 1.0)] == vowels
+
     def test_empty_text_is_silence(self):
         assert fallback_phonemes("", 2.0) == [ev("sil", 0.0, 2.0)]
         assert fallback_phonemes("...", 2.0) == [ev("sil", 0.0, 2.0)]

@@ -1,8 +1,9 @@
 """The fast paths against plain oracles kept here: canonical_json on float
 maps, the lookup-word "%.6f" float tables, the indexed lexicon scan, the
 landmark geometry of fuse_sources, fuse_sources without a final clamp,
-slerp with nlerp weights picked per row, and the landmark box test on
-Python floats. Each must give exactly the oracle's output."""
+slerp with nlerp weights picked per row, the landmark box test on
+Python floats, and the lip-sync fallback's one-pass vowel scan. Each must
+give exactly the oracle's output."""
 
 import json
 import math
@@ -30,6 +31,7 @@ from toonmotion.expression_dataset import (
     fuse_sources,
     parse_source_fixture,
 )
+from toonmotion.face_engine import _KANA_VOWEL, _SMALL_KANA_VOWEL, _text_vowels
 from toonmotion.jsonutil import (
     FORMAT_BLOCK_ROWS,
     canonical_json,
@@ -554,3 +556,57 @@ def test_box_test_matches_reference(points):
     else:
         got = None
     assert got == reference_box_fault(points, BOX)
+
+
+# ------------------------------------------------- lip-sync fallback vowels
+
+REFERENCE_VOWEL_GROUP_RE = re.compile(r"[aeiouy]+")
+REFERENCE_WORD_RE = re.compile(r"[a-zA-Z']+")
+
+
+def reference_text_vowels(text: str) -> list[str]:
+    """The position-tagged form: every ASCII-word vowel first, tagged with
+    its word's start, then the other characters, then a stable sort by
+    position. It agrees with the one-pass scan unless a long mark or a
+    small kana follows an ASCII word."""
+    positioned = []
+    covered = [False] * len(text)
+    for m in REFERENCE_WORD_RE.finditer(text):
+        covered[m.start():m.end()] = [True] * (m.end() - m.start())
+        groups = REFERENCE_VOWEL_GROUP_RE.findall(m.group().lower())
+        for g in groups or ["u"]:
+            positioned.append(("i" if g[0] == "y" else g[0], m.start()))
+    for i, ch in enumerate(text):
+        if covered[i] or ch in "っッ":
+            continue
+        if ch in _SMALL_KANA_VOWEL:
+            if positioned and positioned[-1][1] < i:
+                positioned[-1] = (_SMALL_KANA_VOWEL[ch], positioned[-1][1])
+        elif ch == "ー":
+            if positioned:
+                positioned.append((positioned[-1][0], i))
+        elif ch in _KANA_VOWEL:
+            positioned.append((_KANA_VOWEL[ch], i))
+        elif "一" <= ch <= "鿿":
+            positioned.append(("a", i))
+    positioned.sort(key=lambda pair: pair[1])
+    return [v for v, _ in positioned]
+
+
+KANA = "".join(_KANA_VOWEL)
+SMALL_KANA = "".join(_SMALL_KANA_VOWEL)
+OTHER = " 、。！？,.!?0123456789本当字鿿一Äé\n"
+
+
+@given(st.text(alphabet="abcdeiouyzAEIYZ'" + KANA + "っッ" + OTHER, max_size=40))
+@example("すごい、Nice！きhello。ちっとOKね")
+@settings(max_examples=300, deadline=None)
+def test_vowels_without_marks_match_reference(text):
+    assert _text_vowels(text) == reference_text_vowels(text)
+
+
+@given(st.text(alphabet=KANA + SMALL_KANA + "ーっッ" + OTHER, max_size=40))
+@example("ーすごーい、きゃー！ちょっと")
+@settings(max_examples=300, deadline=None)
+def test_vowels_without_ascii_words_match_reference(text):
+    assert _text_vowels(text) == reference_text_vowels(text)

@@ -661,6 +661,22 @@ class TestCli:
         assert json.loads(report.read_text(encoding="utf-8")) == data
         assert len(out.read_text(encoding="utf-8").splitlines()) == 10
 
+    @pytest.mark.parametrize("kind, code", [("missing", errno.ENOENT),
+                                            ("file", errno.ENOTDIR)])
+    def test_build_expressions_needs_a_sources_directory(self, tmp_path, capsys,
+                                                         kind, code):
+        sources = tmp_path / "sources"
+        if kind == "file":
+            sources.write_text("{}", encoding="utf-8")
+        out, report = tmp_path / "expr.jsonl", tmp_path / "report.json"
+        assert main(["build-expressions", "--sources", str(sources),
+                     "--out", str(out), "--report", str(report)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"i/o error: [Errno {code}] {os.strerror(code)}: "
+                                f"{str(sources)!r}\n")
+        assert not out.exists() and not report.exists()
+
     def test_build_expressions_does_not_import_scipy(self, tmp_path):
         # scipy takes about 0.4 s to import; only rotation conversions need it.
         argv = ["build-expressions", "--sources", str(FIXTURES / "expression_sources"),
