@@ -354,6 +354,9 @@ def parse_bvh(data: bytes | str, source_id: str = "", *,
     for order in dict.fromkeys(orders.tolist()):
         of_order = orders == order
         rotations[:, of_order] = euler_deg_to_quat(euler[:, of_order], order)
+    # A gesture library shares its parsed clips between loads.
+    root_positions.flags.writeable = False
+    rotations.flags.writeable = False
 
     return GestureClip(
         skeleton=skeleton,

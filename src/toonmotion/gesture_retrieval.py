@@ -15,6 +15,7 @@ neutral gesture drawn from the caller's seeded generator.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import random
@@ -31,6 +32,11 @@ from .jsonutil import iter_jsonl, json_value
 from .text_semantics import PhraseSpan, embed, segment_phrases
 
 FPS_REL_TOL = 1e-6
+
+# The clips of the last successful library load, keyed by clip path, entry id
+# and the SHA-256 digest of the file's bytes. A load rebinds it only once it
+# has succeeded, so a failed load keeps the previous clips.
+_held_clips: dict[tuple[Path, str, bytes], GestureClip] = {}
 
 
 class GestureCategory(str, Enum):
@@ -102,7 +108,15 @@ _FIELDS = {"id": str, "phrase": str, "category": str, "neutral": bool,
 
 
 def load_gesture_dataset(path: str | Path, embedder) -> GestureDataset:
-    """Load and validate a gesture JSONL file, embedding every phrase."""
+    """Load and validate a gesture JSONL file, embedding every phrase.
+
+    Every record and every clip file is read and checked on every call. A
+    clip is parsed again unless its path, entry id and bytes are those of
+    the last successful load: `parse_bvh` is a pure function of the bytes
+    and the id, so that load's clip is reused. A parsed clip's arrays are
+    read-only, so no caller can change a shared clip.
+    """
+    global _held_clips
     path = Path(path)
     base = path.parent
     # Read every record first so JSON errors are reported before field errors.
@@ -111,6 +125,7 @@ def load_gesture_dataset(path: str | Path, embedder) -> GestureDataset:
     seen_ids: set[str] = set()
     fields: list[tuple[str, str, GestureCategory, bool]] = []
     clips: dict[str, GestureClip] = {}
+    held: dict[tuple[Path, str, bytes], GestureClip] = {}
     for line_no, raw in records:
         bad = partial(MalformedEntry, file=path, line=line_no)
         for key in _FIELDS:
@@ -144,7 +159,12 @@ def load_gesture_dataset(path: str | Path, embedder) -> GestureDataset:
         if not os.path.isfile(clip_path):  # False, not OSError, when too long
             raise MissingClip(f"clip file not found for {entry_id!r}: {clip_path}",
                               file=path, line=line_no, field="clip")
-        clip = parse_bvh(clip_path.read_bytes(), source_id=entry_id, file=clip_path)
+        data = clip_path.read_bytes()
+        key = (clip_path, entry_id, hashlib.sha256(data).digest())
+        clip = _held_clips.get(key)
+        if clip is None:
+            clip = parse_bvh(data, source_id=entry_id, file=clip_path)
+        held[key] = clip
         first = next(iter(clips.values()), clip)
         if not first.skeleton.matches(clip.skeleton):
             raise bad(f"clip {entry_id!r} skeleton differs from {first.source_id!r}",
@@ -167,6 +187,7 @@ def load_gesture_dataset(path: str | Path, embedder) -> GestureDataset:
     vectors = embed([phrase for _, phrase, _, _ in fields], embedder)
     entries = [GestureEntry(entry_id, phrase, vec, category, neutral)
                for (entry_id, phrase, category, neutral), vec in zip(fields, vectors)]
+    _held_clips = held
     return GestureDataset(entries, embedder, clips)
 
 

@@ -41,6 +41,11 @@ from .providers import (
     load_emotion_categories,
 )
 
+# The bounds on one request's work. They are constants, not Config fields,
+# so that they stay out of every manifest's config hash.
+MAX_SPEECH_DURATION_S = 600.0
+MAX_TEXT_CHARS = 10_000
+
 EMBED_ENDPOINT_ENV = "TOONMOTION_EMBED_ENDPOINT"
 EMOTION_ENDPOINT_ENV = "TOONMOTION_EMOTION_ENDPOINT"
 
@@ -67,11 +72,13 @@ class Config:
     timeout_s: float = 10.0
     retries: int = 2
 
-    # The config file's values before path resolution, which config_hash hashes.
+    # The config file's values merged with the defaults, before path
+    # resolution and the endpoint overrides; config_hash hashes them.
     _raw: dict = field(kw_only=True)
 
     def config_hash(self) -> str:
-        """Stable hash of the configuration values as the file gave them."""
+        """Stable hash of the configuration values as the file gave them,
+        defaults filled in."""
         return hashlib.sha256(canonical_json(self._raw).encode("utf-8")).hexdigest()
 
     def validate(self, file: str | Path | None = None):
@@ -119,7 +126,8 @@ def load_config(path: str | Path) -> Config:
     """Read a JSON config; relative paths resolve against the config file.
 
     Provider endpoints may be overridden through the environment
-    (TOONMOTION_EMBED_ENDPOINT / TOONMOTION_EMOTION_ENDPOINT).
+    (TOONMOTION_EMBED_ENDPOINT / TOONMOTION_EMOTION_ENDPOINT); the overrides
+    do not enter the config hash.
     """
     path = Path(path)
     error = partial(ConfigError, file=path)
@@ -134,12 +142,6 @@ def load_config(path: str | Path) -> Config:
 
     merged = {f.name: f.default for f in _CONFIG_FIELDS if f.default is not MISSING}
     merged.update(raw)
-    merged["embed_endpoint"] = os.environ.get(
-        EMBED_ENDPOINT_ENV, merged["embed_endpoint"]
-    )
-    merged["emotion_endpoint"] = os.environ.get(
-        EMOTION_ENDPOINT_ENV, merged["emotion_endpoint"]
-    )
 
     values = {}
     for f in _CONFIG_FIELDS:
@@ -151,6 +153,11 @@ def load_config(path: str | Path) -> Config:
         if kind is Path and value is not None:
             value = path.parent / value
         values[f.name] = value
+    # The endpoint overrides reach the fields only, so the environment does
+    # not change the hash, and with it an offline manifest.
+    for name, env in (("embed_endpoint", EMBED_ENDPOINT_ENV),
+                      ("emotion_endpoint", EMOTION_ENDPOINT_ENV)):
+        values[name] = os.environ.get(env, values[name])
     # Hash the pre-resolution values so the hash does not depend on where
     # the config file happens to live.
     config = Config(**values, _raw=merged)
@@ -170,12 +177,21 @@ class DialogueRequest:
         check_text_and_seed(self.text, self.seed)
         if not math.isfinite(self.speech_duration_s) or self.speech_duration_s <= 0:
             raise ValidationError("speech duration must be positive and finite")
+        if self.speech_duration_s > MAX_SPEECH_DURATION_S:
+            raise ValidationError(
+                f"speech duration {self.speech_duration_s} s exceeds the "
+                f"{MAX_SPEECH_DURATION_S} s limit"
+            )
 
 
 def check_text_and_seed(text: str, seed: int) -> None:
     """The request checks that `retrieve` shares with `synthesize`."""
     if not text.strip():
         raise ValidationError("request text is empty")
+    if len(text) > MAX_TEXT_CHARS:
+        raise ValidationError(
+            f"request text has {len(text)} characters, more than {MAX_TEXT_CHARS}"
+        )
     if seed < 0:
         raise ValidationError("seed must be a non-negative integer")
 

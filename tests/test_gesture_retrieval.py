@@ -1,6 +1,7 @@
 """Gesture dataset loading and phrase-to-gesture retrieval tests."""
 
 import json
+import os
 import random
 import shutil
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toonmotion import gesture_retrieval
 from toonmotion.bvh import parse_bvh, serialize_bvh
 from toonmotion.errors import (
     BvhSyntaxError,
@@ -25,7 +27,7 @@ from toonmotion.gesture_retrieval import (
     load_gesture_dataset,
     retrieve_sequence,
 )
-from toonmotion.pipeline import Config
+from toonmotion.pipeline import Config, DialogueRequest, load_config, synthesize
 from toonmotion.text_semantics import PhraseSpan, embed
 
 from conftest import FIXTURES, GOLDENS, constant_clip, identity_quats, make_skeleton
@@ -441,3 +443,89 @@ class TestSequence:
                                     threshold=Config.similarity_threshold,
                                     rng=random.Random(0))
         assert match.entry.category is GestureCategory.GREETING
+
+
+class TestClipReuse:
+    """A library load parses a clip again only when its bytes changed."""
+
+    @pytest.fixture
+    def library(self, tmp_path):
+        shutil.copytree(FIXTURES / "gestures", tmp_path / "gestures")
+        return tmp_path / "gestures" / "gestures.jsonl"
+
+    @pytest.fixture
+    def parse_calls(self, monkeypatch):
+        calls = []
+
+        def counting(data, source_id="", **kwargs):
+            calls.append(source_id)
+            return parse_bvh(data, source_id, **kwargs)
+
+        monkeypatch.setattr(gesture_retrieval, "parse_bvh", counting)
+        return calls
+
+    def test_unchanged_library_is_not_parsed_again(self, library, embedder,
+                                                   parse_calls):
+        first = load_gesture_dataset(library, embedder)
+        assert len(parse_calls) == len(first.entries)
+        parse_calls.clear()
+        second = load_gesture_dataset(library, embedder)
+        assert parse_calls == []
+        for entry in second.entries:
+            assert second.clip_for(entry.id) is first.clip_for(entry.id)
+
+    def test_same_length_rewrite_is_parsed_again(self, library, embedder,
+                                                 parse_calls):
+        load_gesture_dataset(library, embedder)
+        clip_path = library.parent / "clips" / "g_hello.bvh"
+        stat = clip_path.stat()
+        data = clip_path.read_bytes()
+        head, last = data.rstrip(b"\n").rsplit(b"\n", 1)
+        assert last.startswith(b"0.000000 ")
+        clip_path.write_bytes(head + b"\n7" + last[1:] + b"\n")
+        assert len(clip_path.read_bytes()) == len(data)
+        os.utime(clip_path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        parse_calls.clear()
+        dataset = load_gesture_dataset(library, embedder)
+        assert parse_calls == ["g_hello"]
+        assert dataset.clip_for("g_hello").root_positions[-1, 0] == 7.0
+
+    def test_failed_load_keeps_the_previous_clips(self, library, embedder,
+                                                  parse_calls):
+        load_gesture_dataset(library, embedder)
+        clip_path = library.parent / "clips" / "g_hello.bvh"
+        good = clip_path.read_bytes()
+        clip_path.write_bytes(good.replace(b"OFFSET 0.000000 90.000000",
+                                           b"OFFSET zz 90.000000", 1))
+        messages = []
+        for _ in range(2):
+            with pytest.raises(BvhSyntaxError) as info:
+                load_gesture_dataset(library, embedder)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert str(clip_path) in messages[0]
+        clip_path.write_bytes(good)
+        parse_calls.clear()
+        load_gesture_dataset(library, embedder)
+        assert parse_calls == []
+
+    def test_loaded_clip_arrays_are_read_only(self, library, embedder):
+        clip = load_gesture_dataset(library, embedder).clip_for("g_hello")
+        with pytest.raises(ValueError):
+            clip.rotations[0, 0, 0] = 0.5
+        with pytest.raises(ValueError):
+            clip.root_positions[0, 0] = 1.0
+
+
+def test_goldens_replay_in_both_orders_in_one_process():
+    config = load_config(FIXTURES / "config.json")
+    goldens = sorted((GOLDENS / "bundles").iterdir())
+    for golden in goldens + goldens[::-1]:
+        req = json.loads((golden / "request.json").read_text(encoding="utf-8"))
+        phonemes = FIXTURES / req["phonemes"] if req["phonemes"] else None
+        bundle = synthesize(DialogueRequest(req["text"], req["duration"], phonemes,
+                                            req["seed"]), config)
+        assert bundle.body == (golden / "body.bvh").read_bytes(), golden.name
+        assert bundle.face_json.encode("utf-8") == (golden / "face.json").read_bytes()
+        assert bundle.manifest_json.encode("utf-8") == (
+            golden / "manifest.json").read_bytes()

@@ -3,6 +3,7 @@
 import dataclasses
 import errno
 import json
+import math
 import os
 import re
 import shutil
@@ -139,6 +140,17 @@ class TestConfig:
         config = load_config(write_config(tmp_path, provider_mode="remote"))
         assert config.embed_endpoint == "http://env-e"
         assert config.emotion_endpoint == "http://env-m"
+
+    def test_env_endpoints_leave_an_offline_manifest_alone(self, tmp_path,
+                                                             monkeypatch):
+        monkeypatch.setenv("TOONMOTION_EMBED_ENDPOINT", "http://env-e")
+        monkeypatch.setenv("TOONMOTION_EMOTION_ENDPOINT", "http://env-m")
+        golden = GOLDENS / "bundles" / "short_en"
+        req = json.loads((golden / "request.json").read_text(encoding="utf-8"))
+        bundle = synthesize(request(req["text"], req["duration"], seed=req["seed"]),
+                            load_config(CONFIG_PATH))
+        assert bundle.manifest_json.encode("utf-8") == (
+            golden / "manifest.json").read_bytes()
 
     def test_out_of_range_threshold(self, tmp_path):
         with pytest.raises(ConfigError, match="similarity_threshold"):
@@ -302,6 +314,23 @@ class TestRequestValidation:
     def test_negative_seed(self):
         with pytest.raises(ValidationError):
             request(seed=-1).validate()
+
+    def test_duration_cap(self):
+        request(duration=pipeline.MAX_SPEECH_DURATION_S).validate()
+        above = math.nextafter(pipeline.MAX_SPEECH_DURATION_S, math.inf)
+        with pytest.raises(ValidationError, match="exceeds the 600.0 s limit"):
+            request(duration=above).validate()
+
+    def test_text_cap(self):
+        request(text="a" * pipeline.MAX_TEXT_CHARS).validate()
+        with pytest.raises(ValidationError, match="10001 characters, more than 10000"):
+            request(text="a" * (pipeline.MAX_TEXT_CHARS + 1)).validate()
+
+    def test_retrieve_shares_the_text_cap(self, capsys):
+        code = main(["retrieve", "--text", "a" * (pipeline.MAX_TEXT_CHARS + 1),
+                     "--config", str(CONFIG_PATH)])
+        assert code == 1
+        assert "more than 10000" in capsys.readouterr().err
 
     @pytest.mark.parametrize("duration", ["nan", "inf"])
     def test_non_finite_duration_exits_1(self, tmp_path, capsys, duration):
