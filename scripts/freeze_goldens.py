@@ -9,10 +9,12 @@ Usage: python scripts/freeze_goldens.py
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import random
 import sys
+import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -31,6 +33,7 @@ FIXTURES = REPO / "tests" / "fixtures"
 GOLDENS = FIXTURES / "goldens"
 BUNDLE_GOLDENS = GOLDENS / "bundles"
 QUESTIONNAIRE_GOLDEN = GOLDENS / "questionnaire"
+LONG_REQUEST_GOLDEN = GOLDENS / "long_request"
 
 # Full synthesize requests on the fixture config. Each golden directory holds
 # the request (phoneme path relative to tests/fixtures) next to the three
@@ -148,6 +151,57 @@ def freeze_bundles():
         )
 
 
+# A request far longer than any bundle golden: 240 s of speech, 120 phrases
+# drawn from the fixture texts and a generated timeline of 1,100 events,
+# some of them silent and some not in the viseme table. Its bundle is
+# several MB, so only the SHA-256 digests of the three members are kept.
+LONG_PHRASES = ("Hello there.", "It was this big,", "really truly important!",
+                "Look over there.", "I see,", "go on.", "That is wonderful!",
+                "Really?", "Look at that.", "Zqxv jkwp.", "Hello there,",
+                "That is wonderful,")
+LONG_PHONEMES = ("a", "i", "u", "e", "o", "MBP", "FV", "L", "other", "sil", "zz", "th")
+LONG_DURATION_S = 240.0
+LONG_EVENTS = 1100
+
+
+def long_request_timeline(rng: random.Random) -> list[dict]:
+    """Events in whole milliseconds: touching or spaced, all before the end."""
+    events, t_ms = [], 0
+    while len(events) < LONG_EVENTS:
+        end_ms = t_ms + rng.randint(40, 300)
+        assert end_ms <= LONG_DURATION_S * 1000, "timeline ran past the speech"
+        events.append({"ph": rng.choice(LONG_PHONEMES),
+                       "start": t_ms / 1000, "end": end_ms / 1000})
+        t_ms = end_ms + (0 if rng.random() < 0.7 else rng.randint(1, 100))
+    return events
+
+
+def freeze_long_request():
+    rng = random.Random(20)
+    LONG_REQUEST_GOLDEN.mkdir(parents=True, exist_ok=True)
+    timeline = LONG_REQUEST_GOLDEN / "phonemes.json"
+    timeline.write_text("[\n" + ",\n".join(
+        json.dumps(ev) for ev in long_request_timeline(rng)) + "\n]\n", encoding="utf-8")
+    req = {"text": " ".join(rng.choice(LONG_PHRASES) for _ in range(120)),
+           "duration": LONG_DURATION_S, "seed": 9,
+           "phonemes": str(timeline.relative_to(FIXTURES))}
+    with tempfile.TemporaryDirectory() as out:
+        argv = [
+            "synthesize", "--text", req["text"], "--duration", str(req["duration"]),
+            "--seed", str(req["seed"]), "--config", str(FIXTURES / "config.json"),
+            "--out", out, "--phonemes", str(timeline),
+        ]
+        with redirect_stdout(io.StringIO()):
+            code = cli_main(argv)
+        assert code == 0, "synthesize failed for the long request"
+        digests = {name: hashlib.sha256((Path(out) / name).read_bytes()).hexdigest()
+                   for name in ("body.bvh", "face.json", "manifest.json")}
+    (LONG_REQUEST_GOLDEN / "request.json").write_text(
+        json.dumps(req, ensure_ascii=False, indent=1) + "\n", encoding="utf-8")
+    (LONG_REQUEST_GOLDEN / "digests.json").write_text(
+        json.dumps(digests, indent=1) + "\n", encoding="utf-8")
+
+
 # One questionnaire answer set per source. Every source shares a face whose
 # geometry and tags set every answered channel group, so each answer's
 # override shows in the built record; the "x_" sources are rejected.
@@ -227,6 +281,7 @@ def main():
     freeze_retrieve_cli()
     freeze_neutral_draw()
     freeze_bundles()
+    freeze_long_request()
     freeze_questionnaire()
     print(f"goldens written to {GOLDENS}")
 

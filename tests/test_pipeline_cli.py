@@ -2,6 +2,7 @@
 
 import dataclasses
 import errno
+import hashlib
 import json
 import math
 import os
@@ -38,6 +39,7 @@ from toonmotion.providers import (
     LexiconEmotionProvider,
     load_emotion_categories,
 )
+from toonmotion.text_semantics import segment_phrases
 
 from conftest import FIXTURES, GOLDENS
 
@@ -568,6 +570,26 @@ def test_bundle_matches_frozen_golden(golden, tmp_path, capsys):
     capsys.readouterr()
     for name in ("body.bvh", "face.json", "manifest.json"):
         assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
+
+
+def test_long_request_matches_frozen_digests(tmp_path, capsys):
+    """A 240 s request with 120 phrases and 1,100 timed phonemes, some
+    silent and some not in the viseme table, against the SHA-256 digests of
+    its frozen bundle."""
+    golden = GOLDENS / "long_request"
+    req = json.loads((golden / "request.json").read_text(encoding="utf-8"))
+    events = json.loads((FIXTURES / req["phonemes"]).read_text(encoding="utf-8"))
+    assert len(segment_phrases(req["text"])) >= 100 and len(events) >= 1000
+    assert {"sil", "zz"} <= {ev["ph"] for ev in events}
+    assert main([
+        "synthesize", "--text", req["text"], "--duration", str(req["duration"]),
+        "--seed", str(req["seed"]), "--config", str(CONFIG_PATH),
+        "--out", str(tmp_path), "--phonemes", str(FIXTURES / req["phonemes"]),
+    ]) == 0
+    capsys.readouterr()
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("body.bvh", "face.json", "manifest.json")}
+    assert digests == json.loads((golden / "digests.json").read_text(encoding="utf-8"))
 
 
 class TestCli:
