@@ -96,7 +96,7 @@ class EmptyDataset(ValidationError):
 
 
 class OverlappingPhonemes(ValidationError):
-    """Phoneme events overlap or are out of order."""
+    """Phoneme events start before 0 s, overlap or are out of order."""
 
 
 class DurationMismatch(ValidationError):

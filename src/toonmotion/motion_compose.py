@@ -28,16 +28,16 @@ MAX_TIME_SCALE = 2.0
 _BLOCK_FRAMES = 256
 
 
-def _blend_into(root, rots, frames, a: GestureClip, a_idx, b: GestureClip, b_idx,
-                weights):
-    """Lerp roots and slerp rotations from a[a_idx] to b[b_idx] into `frames`."""
+def _blend_into(root, rots, frames, src_root, src_rots, a_idx, b_idx, weights):
+    """Lerp roots and slerp rotations from source frames a_idx to b_idx into
+    `frames`."""
     for start in range(0, len(frames), _BLOCK_FRAMES):
         block = slice(start, start + _BLOCK_FRAMES)
         w = weights[block, np.newaxis]
         ia, ib = a_idx[block], b_idx[block]
         dst = frames[block]
-        root[dst] = (1.0 - w) * a.root_positions[ia] + w * b.root_positions[ib]
-        rots[dst] = slerp(a.rotations[ia], b.rotations[ib], w)
+        root[dst] = (1.0 - w) * src_root[ia] + w * src_root[ib]
+        rots[dst] = slerp(src_rots[ia], src_rots[ib], w)
 
 
 def stitch_clips(clips: list[GestureClip], blend_s: float) -> GestureClip:
@@ -61,6 +61,14 @@ def stitch_clips(clips: list[GestureClip], blend_s: float) -> GestureClip:
     )
     total_frames = rots.shape[0]
 
+    # Every seam blends in one call. Its source frames are indexed in a
+    # table that holds each distinct clip once, however often it repeats.
+    distinct = {id(c): c for c in clips}
+    offsets, table_frames = {}, 0
+    for key, clip in distinct.items():
+        offsets[key] = table_frames
+        table_frames += clip.frame_count
+    window_frames, out_idx, in_idx, ramps = [], [], [], []
     seam = 0
     for out_clip, in_clip in zip(clips, clips[1:]):
         out_start = seam
@@ -72,10 +80,17 @@ def stitch_clips(clips: list[GestureClip], blend_s: float) -> GestureClip:
         f_lo = max(0, int(math.ceil(seam - half_frames - 1e-9)))
         f_hi = min(total_frames - 1, int(math.floor(seam + half_frames + 1e-9)))
         frames = np.arange(f_lo, f_hi + 1)
-        out_local = np.minimum(frames - out_start, out_clip.frame_count - 1)
-        in_local = np.maximum(frames - seam, 0)
-        s = smoothstep(((frames - seam) / fps + w / 2.0) / w)
-        _blend_into(root, rots, frames, out_clip, out_local, in_clip, in_local, s)
+        window_frames.append(frames)
+        out_idx.append(offsets[id(out_clip)]
+                       + np.minimum(frames - out_start, out_clip.frame_count - 1))
+        in_idx.append(offsets[id(in_clip)] + np.maximum(frames - seam, 0))
+        ramps.append(((frames - seam) / fps + w / 2.0) / w)
+    if window_frames:
+        _blend_into(root, rots, np.concatenate(window_frames),
+                    np.concatenate([c.root_positions for c in distinct.values()]),
+                    np.concatenate([c.rotations for c in distinct.values()]),
+                    np.concatenate(out_idx), np.concatenate(in_idx),
+                    smoothstep(np.concatenate(ramps)))
 
     return GestureClip(first.skeleton, fps, root, rots, "stitched")
 
@@ -110,7 +125,7 @@ def retime_to_speech(clip: GestureClip, speech_duration_s: float) -> GestureClip
     root = clip.root_positions[lo]
     rots = clip.rotations[lo]
     between = np.flatnonzero(~held & (frac >= 1e-12))
-    _blend_into(root, rots, between, clip, lo[between], clip, lo[between] + 1,
-                frac[between])
+    _blend_into(root, rots, between, clip.root_positions, clip.rotations,
+                lo[between], lo[between] + 1, frac[between])
 
     return GestureClip(clip.skeleton, fps, root, rots, clip.source_id)

@@ -4,6 +4,13 @@ Quaternions are stored (w, x, y, z) in float64 numpy arrays. All functions
 broadcast over leading dimensions, so a whole track of shape (frames, joints, 4)
 goes through in one call. Euler conversions delegate to scipy and use
 intrinsic rotation orders ("ZXY" etc., matching BVH channel order).
+
+Dot products and norms over the length-4 axis are written out as
+``((a0*b0 + a1*b1) + a2*b2) + a3*b3`` (``_dot4``) instead of a per-row
+``np.sum`` or ``np.linalg.norm``. That is the order numpy's ``add.reduce``
+sums four values in, so results are bit-identical;
+tests/test_fast_path_equivalence.py pins the order with rows where another
+order rounds differently.
 """
 
 from __future__ import annotations
@@ -15,9 +22,18 @@ import numpy as np
 _NLERP_DOT_THRESHOLD = 1.0 - 1e-9
 
 
+def _dot4(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product over the last, length-4 axis, keeping it as length 1."""
+    p = a * b
+    dot = p[..., 0:1] + p[..., 1:2]
+    dot += p[..., 2:3]
+    dot += p[..., 3:4]
+    return dot
+
+
 def normalize(q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=np.float64)
-    norm = np.linalg.norm(q, axis=-1, keepdims=True)
+    norm = np.sqrt(_dot4(q, q))
     if np.any(norm == 0.0):
         raise ValueError("cannot normalize a zero quaternion")
     return q / norm
@@ -80,7 +96,7 @@ def slerp(q0: np.ndarray, q1: np.ndarray, t) -> np.ndarray:
     q1 = np.asarray(q1, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)[..., np.newaxis]
 
-    dot = np.sum(q0 * q1, axis=-1, keepdims=True)
+    dot = _dot4(q0, q1)
     q1 = np.where(dot < 0.0, -q1, q1)
     dot = np.abs(dot, out=dot)
 

@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toonmotion.curves import smoothstep
@@ -175,6 +175,12 @@ class TestPhonemeValidation:
 
     def test_touching_events_allowed(self):
         validate_phonemes([ev("a", 0.0, 0.2), ev("e", 0.2, 0.4)])
+
+    def test_start_before_zero(self):
+        with pytest.raises(OverlappingPhonemes,
+                           match=r"^event 'a' starts before 0 s, at -1e-09$"):
+            validate_phonemes([ev("a", -1e-9, 0.2)])
+        validate_phonemes([ev("a", -0.0, 0.2)])
 
     def test_load_phoneme_file(self, tmp_path):
         path = tmp_path / "ph.json"
@@ -384,6 +390,32 @@ class TestLipsync:
         events, end = random_phonemes(rng, fps)
         duration = end * 0.9
         times = np.arange(int(round(duration * fps)) + 1) / fps
+        got_values, got_voicing = lipsync_track(events, fps, times, TABLE)
+        values, voicing = reference_lipsync(events, times)
+        np.testing.assert_array_equal(got_values, values)
+        np.testing.assert_array_equal(got_voicing, voicing)
+
+    @given(st.sampled_from([24.0, 29.97, 30.0, 60.0]),
+           st.floats(0.0, 1.0),
+           st.lists(st.tuples(st.sampled_from(["a", "i", "MBP", "FV", "sil", "zz"]),
+                              st.one_of(st.floats(0.005, 0.4), st.just(0.06)),
+                              st.one_of(st.just(0.0), st.floats(0.0, 0.3))),
+                    max_size=40),
+           st.integers(1, 300))
+    @example(30.0, 0.0, [("sil", 0.5, 0.0), ("sil", 0.5, 0.1)], 40)
+    @example(30.0, 0.0, [], 5)
+    @example(30.0, 0.2, [("a", 0.3, 0.0), ("o", 0.3, 0.0)], 2)  # past the last frame
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_timelines_match_envelopes_over_every_frame(self, fps, start, rows,
+                                                              frame_count):
+        """Any valid timeline, all-silent and empty ones included, and events
+        that run past the last frame or start after it."""
+        events, t = [], start
+        for phoneme, length, gap in rows:
+            events.append(ev(phoneme, t, t + length))
+            t += length + gap
+        validate_phonemes(events)
+        times = np.arange(frame_count) / fps
         got_values, got_voicing = lipsync_track(events, fps, times, TABLE)
         values, voicing = reference_lipsync(events, times)
         np.testing.assert_array_equal(got_values, values)

@@ -1,9 +1,10 @@
 """The fast paths against plain oracles kept here: canonical_json on float
 maps, the lookup-word "%.6f" float tables, the indexed lexicon scan, the
 landmark geometry of fuse_sources, fuse_sources without a final clamp,
-slerp with nlerp weights picked per row, the landmark box test on
-Python floats, and the lip-sync fallback's one-pass vowel scan. Each must
-give exactly the oracle's output."""
+slerp with nlerp weights picked per row, the written-out length-4 sums of
+slerp and normalize, every stitch seam blended in one call, the landmark
+box test on Python floats, and the lip-sync fallback's one-pass vowel scan.
+Each must give exactly the oracle's output."""
 
 import json
 import math
@@ -15,6 +16,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from toonmotion import jsonutil
+from toonmotion.bvh import GestureClip
+from toonmotion.curves import smoothstep
 from toonmotion.errors import InvalidLandmarks, ToonmotionError
 from toonmotion.expression_dataset import (
     BBOX_SLACK,
@@ -38,10 +41,11 @@ from toonmotion.jsonutil import (
     format_float_blocks,
     read_json,
 )
+from toonmotion.motion_compose import _BLOCK_FRAMES, stitch_clips
 from toonmotion.providers import LexiconEmotionProvider, load_emotion_lexicon
-from toonmotion.quat import _NLERP_DOT_THRESHOLD, normalize, slerp
+from toonmotion.quat import _NLERP_DOT_THRESHOLD, _dot4, normalize, slerp
 
-from conftest import FIXTURES, GOLDENS
+from conftest import FIXTURES, GOLDENS, make_skeleton
 
 # ----------------------------------------------------------- canonical_json
 
@@ -453,6 +457,12 @@ def test_fuse_matches_fusion_with_a_final_clamp(tags, answers, fractions,
 # ------------------------------------------------------------------- slerp
 
 
+def reference_normalize(q):
+    """normalize as it was: divided by ``np.linalg.norm`` over the last axis."""
+    q = np.asarray(q, dtype=np.float64)
+    return q / np.linalg.norm(q, axis=-1, keepdims=True)
+
+
 def reference_slerp(q0, q1, t):
     """slerp as it was: nlerp computed for every row, then discarded by
     ``np.where`` where the pair is not nearly parallel."""
@@ -470,16 +480,16 @@ def reference_slerp(q0, q1, t):
     out = w0 * q0 + w1 * q1
     near = np.broadcast_to(dot > _NLERP_DOT_THRESHOLD, out.shape)
     lerped = (1.0 - t) * q0 + t * q1
-    return normalize(np.where(near, lerped, out))
+    return reference_normalize(np.where(near, lerped, out))
 
 
 def unit_quats(rng, shape):
-    return normalize(rng.normal(size=shape + (4,)))
+    return reference_normalize(rng.normal(size=shape + (4,)))
 
 
 def turned(rng, q, angle):
     """*q* turned by *angle* radians about a random axis."""
-    axis = normalize(np.concatenate([np.zeros(q.shape[:-1] + (1,)),
+    axis = reference_normalize(np.concatenate([np.zeros(q.shape[:-1] + (1,)),
                                      rng.normal(size=q.shape[:-1] + (3,))], axis=-1))
     half = np.asarray(angle)[..., np.newaxis] / 2.0
     turn = np.cos(half) * np.array([1.0, 0.0, 0.0, 0.0]) + np.sin(half) * axis
@@ -518,6 +528,98 @@ def test_slerp_edge_pairs_match_reference(t):
     np.testing.assert_array_equal(slerp(q0[0, 0], q0, t), reference_slerp(q0[0, 0], q0, t))
     np.testing.assert_array_equal(slerp(q0[0, 0], -q0[0, 0], 0.25),
                                   reference_slerp(q0[0, 0], -q0[0, 0], 0.25))
+
+
+# Rows whose four products sum to different values in different orders.
+ORDER_ROWS = np.array([[1e16, 1.0, -1e16, 1.0], [1.0, 1e16, 1.0, -1e16],
+                       [1e16, -1e16, 1.0, 1e-16], [1.0, 2.0**-53, 2.0**-53, -1.0]])
+
+
+def test_dot4_pins_numpys_length_4_reduce_order():
+    a, b = ORDER_ROWS, np.ones_like(ORDER_ROWS)
+    for (x0, x1, x2, x3), got in zip(a.tolist(), _dot4(a, b)[:, 0].tolist()):
+        assert len({((x0 + x1) + x2) + x3, x0 + ((x1 + x2) + x3),
+                    (x0 + x1) + (x2 + x3)}) > 1  # the row tells the orders apart
+        assert got == ((x0 + x1) + x2) + x3
+    # A numpy whose add.reduce sums four values in another order fails here.
+    np.testing.assert_array_equal(_dot4(a, b), np.sum(a * b, axis=-1, keepdims=True))
+    np.testing.assert_array_equal(np.sqrt(_dot4(a, a)),
+                                  np.linalg.norm(a, axis=-1, keepdims=True))
+
+
+def test_dot4_matches_numpy_sum_on_random_rows():
+    rng = np.random.default_rng(12)
+    a, b = rng.normal(size=(10**6, 4)), rng.normal(size=(10**6, 4))
+    np.testing.assert_array_equal(_dot4(a, b), np.sum(a * b, axis=-1, keepdims=True))
+    np.testing.assert_array_equal(normalize(a), reference_normalize(a))
+    # A quaternion against a block of them, and one alone.
+    np.testing.assert_array_equal(_dot4(a[0], b[:64].reshape(8, 8, 4)),
+                                  np.sum(a[0] * b[:64].reshape(8, 8, 4), axis=-1,
+                                         keepdims=True))
+    np.testing.assert_array_equal(normalize(a[1]), reference_normalize(a[1]))
+
+
+# ------------------------------------------------------- stitch seams
+
+
+def reference_blend_into(root, rots, frames, a, a_idx, b, b_idx, weights):
+    """The per-seam blend, reading the two clips of one seam."""
+    for start in range(0, len(frames), _BLOCK_FRAMES):
+        block = slice(start, start + _BLOCK_FRAMES)
+        w = weights[block, np.newaxis]
+        ia, ib = a_idx[block], b_idx[block]
+        dst = frames[block]
+        root[dst] = (1.0 - w) * a.root_positions[ia] + w * b.root_positions[ib]
+        rots[dst] = slerp(a.rotations[ia], b.rotations[ib], w)
+
+
+def reference_stitch_per_seam(clips, blend_s):
+    """stitch_clips as it was: one blend call per seam."""
+    fps = clips[0].fps
+    root = np.concatenate(
+        [c.root_positions[:-1] for c in clips[:-1]] + [clips[-1].root_positions])
+    rots = np.concatenate([c.rotations[:-1] for c in clips[:-1]] + [clips[-1].rotations])
+    total_frames = rots.shape[0]
+    seam = 0
+    for out_clip, in_clip in zip(clips, clips[1:]):
+        out_start = seam
+        seam += out_clip.frame_count - 1
+        w = min(blend_s, out_clip.duration_s / 2.0, in_clip.duration_s / 2.0)
+        if w <= 0.0:
+            continue
+        half_frames = w * fps / 2.0
+        f_lo = max(0, int(math.ceil(seam - half_frames - 1e-9)))
+        f_hi = min(total_frames - 1, int(math.floor(seam + half_frames + 1e-9)))
+        frames = np.arange(f_lo, f_hi + 1)
+        out_local = np.minimum(frames - out_start, out_clip.frame_count - 1)
+        in_local = np.maximum(frames - seam, 0)
+        s = smoothstep(((frames - seam) / fps + w / 2.0) / w)
+        reference_blend_into(root, rots, frames, out_clip, out_local, in_clip, in_local, s)
+    return root, rots
+
+
+@given(st.sampled_from([24.0, 29.97, 30.0, 60.0]), st.integers(1, 3),
+       st.lists(st.one_of(st.just(2), st.integers(2, 80)), min_size=1, max_size=4),
+       st.lists(st.integers(0, 3), min_size=1, max_size=12),
+       st.one_of(st.sampled_from([0.0, 1e-3, 0.3, 100.0]), st.floats(0.0, 3.0)),
+       st.integers(0, 2**32 - 1))
+@example(30.0, 2, [2, 2], [0, 1, 0, 0, 1], 0.3, 0)  # 2-frame clips, repeated
+@example(30.0, 2, [31, 7], [0, 1, 0], 100.0, 1)  # windows cut by either neighbor
+@example(30.0, 2, [31, 31], [0, 1], 0.0, 2)  # a hard cut
+@settings(max_examples=150, deadline=None)
+def test_stitch_matches_one_blend_per_seam(fps, joints, frame_counts, order, blend_s,
+                                           seed):
+    """Repeated clips are the same object, as a library hands them out."""
+    rng = np.random.default_rng(seed)
+    skeleton = make_skeleton(joints)
+    library = [GestureClip(skeleton, fps, rng.normal(scale=10.0, size=(n, 3)),
+                           reference_normalize(rng.normal(size=(n, joints, 4))))
+               for n in frame_counts]
+    clips = [library[i % len(library)] for i in order]
+    stitched = stitch_clips(clips, blend_s)
+    root, rots = reference_stitch_per_seam(clips, blend_s)
+    np.testing.assert_array_equal(stitched.root_positions, root)
+    np.testing.assert_array_equal(stitched.rotations, rots)
 
 
 # ---------------------------------------------------- landmark box test

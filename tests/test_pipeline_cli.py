@@ -985,6 +985,22 @@ def test_malformed_json_input_exits_1(tmp_path, capsys, case):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("start", [-1e308, -3.0])
+def test_phonemes_starting_before_zero_exit_1(tmp_path, capsys, start):
+    ph = tmp_path / "ph.json"
+    ph.write_text(json.dumps([{"ph": "a", "start": start, "end": 0.5}]),
+                  encoding="utf-8")
+    out = tmp_path / "o"
+    code = main([
+        "synthesize", "--text", "Hello there.", "--duration", "2.0",
+        "--config", str(CONFIG_PATH), "--out", str(out), "--phonemes", str(ph),
+    ])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: {ph}: event 'a' starts before 0 s, at {start}\n"
+    assert not out.exists()
+
+
 def test_unknown_emotion_category_is_rejected_everywhere(tmp_path, capsys):
     lines = (FIXTURES / "expressions.jsonl").read_text("utf-8").splitlines()
     record = json.loads(lines[0])
