@@ -1,12 +1,12 @@
 """BVH motion clip parsing and serialization.
 
-Supports the common BVH 1.0 subset: a single ROOT, OFFSET/CHANNELS per
-joint, optional End Site blocks, and a MOTION section with "Frames:" and
-"Frame Time:". The root may carry 6 channels (3 positions + 3 rotations),
-every other joint exactly 3 rotation channels. Rotation orders ZXY, ZYX and
-XYZ are accepted; the serializer always emits ZXY. Every number must be
-finite: a NaN or infinite offset, frame time or motion value is a
-BvhSyntaxError at its line and column.
+Supports the common BVH 1.0 subset: a single ROOT, at most MAX_JOINTS
+joints with OFFSET/CHANNELS each, optional End Site blocks, and a MOTION
+section with "Frames:" and "Frame Time:". The root may carry 6 channels
+(3 positions + 3 rotations), every other joint exactly 3 rotation channels.
+Rotation orders ZXY, ZYX and XYZ are accepted; the serializer always emits
+ZXY. Every number must be finite: a NaN or infinite offset, frame time or
+motion value is a BvhSyntaxError at its line and column.
 
 Rotations are converted to unit quaternions (w, x, y, z) at the parse
 boundary and back to Euler degrees only when serializing.
@@ -38,6 +38,11 @@ _ROTATION_AXIS = {"Xrotation": "X", "Yrotation": "Y", "Zrotation": "Z"}
 
 OFFSET_MATCH_TOL = 1e-6
 
+# Joints per skeleton. The reader and the writer recurse once per nesting
+# level, and a chain of this many joints stays well inside Python's default
+# limit of 1,000 frames, with room for the caller's stack.
+MAX_JOINTS = 512
+
 
 @dataclass
 class Joint:
@@ -53,9 +58,6 @@ class Skeleton:
     """Joints in parent-first order under one root, as `parse_bvh` reads them."""
 
     joints: list[Joint]
-
-    def children_of(self, index: int) -> list[int]:
-        return [i for i, j in enumerate(self.joints) if j.parent == index]
 
     def matches(self, other: "Skeleton") -> bool:
         """Same names and parentage, offsets equal within OFFSET_MATCH_TOL."""
@@ -233,6 +235,8 @@ def _parse_joint(stream: _TokenStream, joints: list[Joint], joint_slots: list[li
         if tok[0] == "}":
             return
         if tok[0] == "JOINT":
+            if len(joints) == MAX_JOINTS:
+                raise stream.error(f"skeleton has more than {MAX_JOINTS} joints", tok)
             child_name = stream.next("joint name")[0]
             _parse_joint(stream, joints, joint_slots, child_name, index)
         elif tok[0] == "End":
@@ -367,7 +371,8 @@ def parse_bvh(data: bytes | str, source_id: str = "", *,
     )
 
 
-def _write_joint(lines: list[str], skeleton: Skeleton, index: int, depth: int):
+def _write_joint(lines: list[str], skeleton: Skeleton, index: int, depth: int,
+                 children: list[list[int]]):
     joint = skeleton.joints[index]
     indent = "\t" * depth
     keyword = "ROOT" if joint.parent < 0 else "JOINT"
@@ -383,10 +388,9 @@ def _write_joint(lines: list[str], skeleton: Skeleton, index: int, depth: int):
         )
     else:
         lines.append(f"{inner}CHANNELS 3 Zrotation Xrotation Yrotation")
-    children = skeleton.children_of(index)
-    for child in children:
-        _write_joint(lines, skeleton, child, depth + 1)
-    if not children or joint.end_offset is not None:
+    for child in children[index]:
+        _write_joint(lines, skeleton, child, depth + 1, children)
+    if not children[index] or joint.end_offset is not None:
         end = joint.end_offset if joint.end_offset is not None else np.zeros(3)
         lines.append(f"{inner}End Site")
         lines.append(f"{inner}{{")
@@ -396,10 +400,19 @@ def _write_joint(lines: list[str], skeleton: Skeleton, index: int, depth: int):
     lines.append(f"{indent}}}")
 
 
+def _write_hierarchy(lines: list[str], skeleton: Skeleton):
+    """Appends every joint block, each joint's children in index order."""
+    children: list[list[int]] = [[] for _ in skeleton.joints]
+    for index, joint in enumerate(skeleton.joints):
+        if joint.parent >= 0:
+            children[joint.parent].append(index)
+    _write_joint(lines, skeleton, 0, 0, children)
+
+
 def serialize_bvh(clip: GestureClip) -> bytes:
     """Serialize a clip as BVH text (ZXY rotation order, 6 decimal places)."""
     lines: list[str] = ["HIERARCHY"]
-    _write_joint(lines, clip.skeleton, 0, 0)
+    _write_hierarchy(lines, clip.skeleton)
     lines.append("MOTION")
     lines.append(f"Frames: {clip.frame_count}")
     lines.append(f"Frame Time: {1.0 / clip.fps:.8f}")

@@ -511,8 +511,9 @@ def build_dataset(
 
     entries.sort(key=lambda e: e.id)
     ids = [e.id for e in entries]
-    if len(set(ids)) != len(ids):
-        dupe = sorted({i for i in ids if ids.count(i) > 1})[0]
+    # Sorted, so the first adjacent pair is the smallest duplicated id.
+    dupe = next((a for a, b in zip(ids, ids[1:]) if a == b), None)
+    if dupe is not None:
         raise MalformedEntry(f"duplicate entry id {dupe!r} across fixtures", field="id")
 
     report.total = len(entries)

@@ -31,6 +31,10 @@ from .jsonutil import json_value, read_json
 from .providers import packaged_data_path
 from .text_semantics import cosine_similarity
 
+# Events per phoneme timeline: a few more than the body frames of the
+# longest speech a request may ask for (600 s at 30 fps is 18,001 frames).
+MAX_PHONEME_EVENTS = 20_000
+
 VISEME_RAMP_S = 0.06
 LIPSYNC_ALPHA = 0.8
 
@@ -81,8 +85,12 @@ def validate_phonemes(events: list[PhonemeEvent], file: str | Path | None = None
 def load_phoneme_file(path: str | Path) -> list[PhonemeEvent]:
     """Read a JSON phoneme timeline: [{"ph": str, "start": num, "end": num}]."""
     error = partial(ValidationError, file=path)
+    items = json_value(read_json(path), list, "phoneme file", error)
+    if len(items) > MAX_PHONEME_EVENTS:
+        raise error(f"phoneme file has {len(items)} events, more than the "
+                    f"{MAX_PHONEME_EVENTS} allowed")
     events = []
-    for i, item in enumerate(json_value(read_json(path), list, "phoneme file", error)):
+    for i, item in enumerate(items):
         where = f"phoneme {i}"
         item = json_value(item, dict, where, error)
         for key in ("ph", "start", "end"):
@@ -204,12 +212,16 @@ def lipsync_track(
             pose_weights[i, _MOUTH_COLUMN[name]] = weight
     event_poses = pose_weights[[pose_index.get(ev.phoneme, other) for ev in voiced]]
 
-    # The envelope is exactly 0 outside (start, end + ramp); one frame of
-    # margin either side absorbs rounding in the frame times. Clipping to
+    # The envelope is exactly 0 outside [lo, hi), rounding included. Below
+    # lo, start * fps exceeds the frame index by nearly 1, so the frame time
+    # is below start and the rise is 0. From hi on, the frame time is at
+    # least (end + ramp)(1 - 3 * 2**-53), so (t - end) / ramp is under 1 by
+    # at most 4.5e-12 for an event that ends by 600 s, and smoothstep
+    # rounds to exactly 1 within 3.7e-9 of 1: the fall is 0. Clipping to
     # [0, frame_count] before the cast leaves a window past the last frame
     # empty.
-    lo = np.clip(np.floor(starts * fps) - 1, 0, frame_count).astype(np.intp)
-    hi = np.clip(np.ceil((ends + VISEME_RAMP_S) * fps) + 2, 0, frame_count).astype(np.intp)
+    lo = np.clip(np.floor(starts * fps), 0, frame_count).astype(np.intp)
+    hi = np.clip(np.ceil((ends + VISEME_RAMP_S) * fps), 0, frame_count).astype(np.intp)
     lengths = hi - lo
     event = np.repeat(np.arange(len(voiced)), lengths)
     frames = np.arange(lengths.sum()) + np.repeat(lo - (np.cumsum(lengths) - lengths),

@@ -10,6 +10,7 @@ weights; real deployments swap in a remote sentence-embedding provider.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -23,6 +24,19 @@ ASCII_DELIMITERS = ".!?,;"
 PHRASE_DELIMITERS = CJK_DELIMITERS + ASCII_DELIMITERS
 
 MAX_PHRASE_CHARS = 40
+
+# The phrase grammar. A phrase is the text up to a maximal run of
+# delimiters plus the run's leading ASCII marks; the rest of the run is
+# dropped. A phrase is trimmed of whitespace and, while longer than
+# MAX_PHRASE_CHARS, cut after the longest stretch of 1 to MAX_PHRASE_CHARS
+# characters that whitespace follows: the stretch is trimmed and that one
+# whitespace character dropped. A stretch that no whitespace follows is cut
+# hard at MAX_PHRASE_CHARS, untrimmed. `\s` matches exactly the characters
+# `str.isspace()` accepts.
+_PHRASE = re.compile("([^{all}]*[{ascii}]*)[{all}]*".format(
+    all=re.escape(PHRASE_DELIMITERS), ascii=re.escape(ASCII_DELIMITERS)))
+_CUT = re.compile(f".{{1,{MAX_PHRASE_CHARS}}}(?=\\s)", re.DOTALL)
+_TRIM = re.compile(r"\S(?:.*\S)?", re.DOTALL)
 
 # Reference embedder parameters. Character n-grams (n = 1..3) are hashed
 # with SHA-256 under a fixed seed into 256 signed buckets: bucket index
@@ -43,75 +57,33 @@ class PhraseSpan:
     ordinal: int
 
 
-def _trimmed(text: str, start: int, end: int) -> tuple[int, int]:
-    while start < end and text[start].isspace():
-        start += 1
-    while end > start and text[end - 1].isspace():
-        end -= 1
-    return start, end
-
-
-def _rechunk(text: str, start: int, end: int) -> list[tuple[int, int]]:
-    """Split an over-long span at whitespace where possible, else hard-cut."""
-    chunks: list[tuple[int, int]] = []
-    while end - start > MAX_PHRASE_CHARS:
-        cut = -1
-        for p in range(start + MAX_PHRASE_CHARS, start, -1):
-            if text[p].isspace():
-                cut = p
-                break
-        if cut > start:
-            chunk = _trimmed(text, start, cut)
-            start = cut + 1
-        else:
-            chunk = (start, start + MAX_PHRASE_CHARS)
-            start = start + MAX_PHRASE_CHARS
-        if chunk[0] < chunk[1]:
-            chunks.append(chunk)
-    final = _trimmed(text, start, end)
-    if final[0] < final[1]:
-        chunks.append(final)
-    return chunks
-
-
 def segment_phrases(text: str) -> list[PhraseSpan]:
-    """Split dialogue text into phrase spans.
+    """Split dialogue text into phrase spans by the phrase grammar above.
 
-    A maximal run of delimiter characters ends a phrase; the run's leading
-    ASCII marks stay inside the phrase, CJK marks are consumed. Spans
-    longer than MAX_PHRASE_CHARS are re-chunked at whitespace (hard cut
-    when a chunk has none). Empty input yields an empty list.
+    Empty input yields an empty list.
     """
-    raw: list[tuple[int, int]] = []
-    n = len(text)
-    start = 0
-    i = 0
-    while i < n:
-        if text[i] in PHRASE_DELIMITERS:
-            run_end = i
-            while run_end < n and text[run_end] in PHRASE_DELIMITERS:
-                run_end += 1
-            attached = i
-            while attached < run_end and text[attached] in ASCII_DELIMITERS:
-                attached += 1
-            raw.append((start, attached))
-            start = run_end
-            i = run_end
-        else:
-            i += 1
-    if start < n:
-        raw.append((start, n))
-
-    bounded: list[tuple[int, int]] = []
-    for s, e in raw:
-        s, e = _trimmed(text, s, e)
-        if s >= e:
+    spans: list[tuple[int, int]] = []
+    for phrase in _PHRASE.finditer(text):
+        kept = _TRIM.search(text, *phrase.span(1))
+        if kept is None:
             continue
-        bounded.extend(_rechunk(text, s, e))
-
+        start, end = kept.span()
+        while end - start > MAX_PHRASE_CHARS:
+            cut = _CUT.match(text, start, end)
+            if cut is None:
+                spans.append((start, start + MAX_PHRASE_CHARS))
+                start += MAX_PHRASE_CHARS
+                continue
+            kept = _TRIM.search(text, start, cut.end())
+            if kept is not None:
+                spans.append(kept.span())
+            start = cut.end() + 1
+        kept = _TRIM.search(text, start, end)
+        if kept is not None:
+            spans.append(kept.span())
     return [
         PhraseSpan(text=text[s:e], start_char=s, end_char=e, ordinal=k)
-        for k, (s, e) in enumerate(bounded)
+        for k, (s, e) in enumerate(spans)
     ]
 
 

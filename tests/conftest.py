@@ -52,6 +52,21 @@ def make_skeleton(n_joints: int = 2) -> Skeleton:
     return Skeleton(joints)
 
 
+def chain_bvh(n_joints: int) -> str:
+    """A 2-frame BVH clip whose joints form one chain, each joint on 4 lines
+    from line 2: the root's ROOT line, then joint i's JOINT line at
+    2 + 4 * i."""
+    lines = ["HIERARCHY", "ROOT J0", "{", "OFFSET 0 0 0",
+             "CHANNELS 6 Xposition Yposition Zposition Zrotation Xrotation Yrotation"]
+    for i in range(1, n_joints):
+        lines += [f"JOINT J{i}", "{", "OFFSET 0 1 0",
+                  "CHANNELS 3 Zrotation Xrotation Yrotation"]
+    lines += ["}"] * n_joints
+    frame = " ".join(["0"] * (3 + 3 * n_joints))
+    lines += ["MOTION", "Frames: 2", "Frame Time: 0.0333333", frame, frame]
+    return "\n".join(lines) + "\n"
+
+
 def constant_clip(
     skeleton: Skeleton,
     quat_by_joint: np.ndarray,

@@ -14,6 +14,7 @@ from scipy.spatial.transform import Rotation
 
 from toonmotion import bvh
 from toonmotion.bvh import (
+    MAX_JOINTS,
     OFFSET_MATCH_TOL,
     SERIALIZED_ROTATION_ORDER,
     SUPPORTED_ROTATION_ORDERS,
@@ -22,7 +23,7 @@ from toonmotion.bvh import (
     Skeleton,
     _TokenStream,
     _parse_joint,
-    _write_joint,
+    _write_hierarchy,
     parse_bvh,
     serialize_bvh,
 )
@@ -38,6 +39,7 @@ from conftest import (
     FIXTURES,
     angle_between,
     awkward_floats,
+    chain_bvh,
     constant_clip,
     identity_quats,
     make_skeleton,
@@ -215,7 +217,7 @@ class TestSerialize:
 def serialize_bvh_per_value(clip: GestureClip) -> bytes:
     """Reference serializer: one Euler conversion per joint, one f-string per value."""
     lines = ["HIERARCHY"]
-    _write_joint(lines, clip.skeleton, 0, 0)
+    _write_hierarchy(lines, clip.skeleton)
     lines.append("MOTION")
     lines.append(f"Frames: {clip.frame_count}")
     lines.append(f"Frame Time: {1.0 / clip.fps:.8f}")
@@ -826,6 +828,28 @@ class TestRoundTrip:
         back = parse_bvh(serialize_bvh(clip), "back")
         worst = float(np.max(angle_between(back.rotations, clip.rotations)))
         assert worst <= 1e-4
+
+
+class TestJointCap:
+    """The reader and the writer recurse once per nesting level, so the
+    joint count is capped well inside Python's recursion limit."""
+
+    def test_a_chain_of_the_cap_parses_and_round_trips(self):
+        clip = parse_bvh(chain_bvh(MAX_JOINTS), "chain")
+        assert len(clip.skeleton.joints) == MAX_JOINTS
+        assert [j.parent for j in clip.skeleton.joints] == list(range(-1, MAX_JOINTS - 1))
+        again = parse_bvh(serialize_bvh(clip), "again")
+        assert again.skeleton.matches(clip.skeleton)
+        np.testing.assert_array_equal(again.rotations, clip.rotations)
+        np.testing.assert_array_equal(again.root_positions, clip.root_positions)
+
+    @pytest.mark.parametrize("n_joints", [MAX_JOINTS + 1, 3000])
+    def test_one_joint_more_is_rejected_at_its_joint_token(self, n_joints):
+        with pytest.raises(BvhSyntaxError) as info:
+            parse_bvh(chain_bvh(n_joints), "chain", file="chain.bvh")
+        assert str(info.value) == (
+            f"chain.bvh: line {2 + 4 * MAX_JOINTS}, col 1: "
+            f"skeleton has more than {MAX_JOINTS} joints")
 
 
 class TestClipValidation:

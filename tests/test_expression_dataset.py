@@ -702,11 +702,14 @@ class TestBuild:
         fixture = json.loads(
             (FIXTURES / "expression_sources" / "img01.json").read_text("utf-8")
         )
-        for name in ("a.json", "b.json"):
-            (src / name).write_text(json.dumps(fixture), encoding="utf-8")
-        with pytest.raises(MalformedEntry):
+        for name, image_id in [("a.json", "img_b"), ("b.json", "img_b"), ("c.json", "img_c"),
+                               ("d.json", "img_a"), ("e.json", "img_a")]:
+            (src / name).write_text(json.dumps({**fixture, "image_id": image_id}),
+                                    encoding="utf-8")
+        with pytest.raises(MalformedEntry) as info:
             build_dataset(src, LexiconEmotionProvider(),
                           categories=load_emotion_categories())
+        assert str(info.value) == "duplicate entry id 'img_a' across fixtures (field: id)"
 
 
 def test_questionnaire_matches_frozen_golden(tmp_path, capsys):

@@ -25,6 +25,7 @@ from toonmotion.face_engine import (
     BLINK_OPEN_S,
     BLINK_TOTAL_S,
     LIPSYNC_ALPHA,
+    MAX_PHONEME_EVENTS,
     VISEME_RAMP_S,
     PhonemeEvent,
     compose_face_track,
@@ -201,6 +202,26 @@ class TestPhonemeValidation:
         with pytest.raises(OverlappingPhonemes) as info:
             load_phoneme_file(path)
         assert str(info.value).startswith(f"{path}: event")
+
+    def test_load_takes_a_timeline_of_the_event_cap(self, tmp_path):
+        path = tmp_path / "ph.json"
+        path.write_text(json.dumps([{"ph": "a", "start": i / 100, "end": (i + 1) / 100}
+                                    for i in range(MAX_PHONEME_EVENTS)]),
+                        encoding="utf-8")
+        events = load_phoneme_file(path)
+        assert len(events) == MAX_PHONEME_EVENTS
+        assert events[-1] == ev("a", (MAX_PHONEME_EVENTS - 1) / 100,
+                                MAX_PHONEME_EVENTS / 100)
+
+    def test_load_rejects_a_timeline_past_the_event_cap(self, tmp_path):
+        path = tmp_path / "ph.json"
+        path.write_text(json.dumps([{"ph": "a", "start": 0.0, "end": 0.1}]
+                                   * (MAX_PHONEME_EVENTS + 1)), encoding="utf-8")
+        with pytest.raises(ValidationError) as info:
+            load_phoneme_file(path)
+        assert str(info.value) == (
+            f"{path}: phoneme file has {MAX_PHONEME_EVENTS + 1} events, more "
+            f"than the {MAX_PHONEME_EVENTS} allowed")
 
     def test_load_rejects_bad_rows(self, tmp_path):
         path = tmp_path / "ph.json"
@@ -394,6 +415,34 @@ class TestLipsync:
         values, voicing = reference_lipsync(events, times)
         np.testing.assert_array_equal(got_values, values)
         np.testing.assert_array_equal(got_voicing, voicing)
+
+    @pytest.mark.parametrize("fps", [24.0, 25.0, 29.97, 30.0, 60.0])
+    def test_event_edges_on_and_one_ulp_beside_frame_times(self, fps):
+        """Envelope edges (a start, an end plus the ramp) exactly on a frame
+        time and one ulp either side of it, from the first frames to 600 s,
+        the last events running past the last frame."""
+        frame_count = int(600 * fps) + 2
+        times = np.arange(frame_count) / fps
+        first = [1, 9, 17, 100, 1001, 4999, frame_count // 2, frame_count - 30,
+                 frame_count - 9, frame_count - 2]
+
+        def beside(t):
+            return [np.nextafter(t, -np.inf), t, np.nextafter(t, np.inf)]
+
+        for start_side in range(3):
+            for end_side in range(3):
+                for end_of_ramp in (True, False):
+                    events = []
+                    for k in first:
+                        start = beside(times[k])[start_side]
+                        edge = times[k + 6] if k + 6 < frame_count else times[-1] + 0.05
+                        end = beside(edge - VISEME_RAMP_S if end_of_ramp else edge)[end_side]
+                        events.append(ev("a" if k % 2 else "MBP", float(start), float(end)))
+                    validate_phonemes(events)
+                    got_values, got_voicing = lipsync_track(events, fps, times, TABLE)
+                    values, voicing = reference_lipsync(events, times)
+                    np.testing.assert_array_equal(got_values, values)
+                    np.testing.assert_array_equal(got_voicing, voicing)
 
     @given(st.sampled_from([24.0, 29.97, 30.0, 60.0]),
            st.floats(0.0, 1.0),

@@ -3,8 +3,8 @@ maps, the lookup-word "%.6f" float tables, the indexed lexicon scan, the
 landmark geometry of fuse_sources, fuse_sources without a final clamp,
 slerp with nlerp weights picked per row, the written-out length-4 sums of
 slerp and normalize, every stitch seam blended in one call, the landmark
-box test on Python floats, and the lip-sync fallback's one-pass vowel scan.
-Each must give exactly the oracle's output."""
+box test on Python floats, the lip-sync fallback's one-pass vowel scan, and
+phrase segmentation by patterns. Each must give exactly the oracle's output."""
 
 import json
 import math
@@ -44,6 +44,12 @@ from toonmotion.jsonutil import (
 from toonmotion.motion_compose import _BLOCK_FRAMES, stitch_clips
 from toonmotion.providers import LexiconEmotionProvider, load_emotion_lexicon
 from toonmotion.quat import _NLERP_DOT_THRESHOLD, _dot4, normalize, slerp
+from toonmotion.text_semantics import (
+    ASCII_DELIMITERS,
+    MAX_PHRASE_CHARS,
+    PHRASE_DELIMITERS,
+    segment_phrases,
+)
 
 from conftest import FIXTURES, GOLDENS, make_skeleton
 
@@ -712,3 +718,92 @@ def test_vowels_without_marks_match_reference(text):
 @settings(max_examples=300, deadline=None)
 def test_vowels_without_ascii_words_match_reference(text):
     assert _text_vowels(text) == reference_text_vowels(text)
+
+
+# ------------------------------------------------------ phrase segmentation
+
+
+def reference_trimmed(text: str, start: int, end: int) -> tuple[int, int]:
+    while start < end and text[start].isspace():
+        start += 1
+    while end > start and text[end - 1].isspace():
+        end -= 1
+    return start, end
+
+
+def reference_rechunk(text: str, start: int, end: int) -> list[tuple[int, int]]:
+    """Split an over-long span at whitespace where possible, else hard-cut."""
+    chunks: list[tuple[int, int]] = []
+    while end - start > MAX_PHRASE_CHARS:
+        cut = -1
+        for p in range(start + MAX_PHRASE_CHARS, start, -1):
+            if text[p].isspace():
+                cut = p
+                break
+        if cut > start:
+            chunk = reference_trimmed(text, start, cut)
+            start = cut + 1
+        else:
+            chunk = (start, start + MAX_PHRASE_CHARS)
+            start = start + MAX_PHRASE_CHARS
+        if chunk[0] < chunk[1]:
+            chunks.append(chunk)
+    final = reference_trimmed(text, start, end)
+    if final[0] < final[1]:
+        chunks.append(final)
+    return chunks
+
+
+def reference_segment_phrases(text: str) -> list[tuple[str, int, int, int]]:
+    """The character scanner: delimiter runs first, then trimming, then
+    re-chunking of over-long spans, as (text, start, end, ordinal)."""
+    raw: list[tuple[int, int]] = []
+    n = len(text)
+    start = 0
+    i = 0
+    while i < n:
+        if text[i] in PHRASE_DELIMITERS:
+            run_end = i
+            while run_end < n and text[run_end] in PHRASE_DELIMITERS:
+                run_end += 1
+            attached = i
+            while attached < run_end and text[attached] in ASCII_DELIMITERS:
+                attached += 1
+            raw.append((start, attached))
+            start = run_end
+            i = run_end
+        else:
+            i += 1
+    if start < n:
+        raw.append((start, n))
+
+    bounded: list[tuple[int, int]] = []
+    for s, e in raw:
+        s, e = reference_trimmed(text, s, e)
+        if s >= e:
+            continue
+        bounded.extend(reference_rechunk(text, s, e))
+    return [(text[s:e], s, e, k) for k, (s, e) in enumerate(bounded)]
+
+
+# Character pools a text draws one to four of: with the delimiters left out,
+# phrases run past MAX_PHRASE_CHARS and are cut at whitespace or hard-cut.
+PHRASE_POOLS = [PHRASE_DELIMITERS, "abcXYZ", " \t\n\u3000\x1c\x85\u2028", "あいうカ"]
+
+
+@st.composite
+def dialogue_texts(draw) -> str:
+    pools = draw(st.lists(st.sampled_from(PHRASE_POOLS), min_size=1, max_size=4))
+    size = draw(st.integers(0, 4 * MAX_PHRASE_CHARS))
+    return draw(st.text(alphabet="".join(pools), min_size=size, max_size=size))
+
+
+@given(dialogue_texts())
+@example("")
+@example("Hello there, 。.!、world...? あ")
+@example("a" * 40 + "  " + "b" * 45)  # a hard cut that keeps a leading space
+@example("a" * 39 + "  " + "b" * 80)
+@settings(max_examples=1000, deadline=None)
+def test_segment_phrases_matches_the_character_scanner(text):
+    got = [(p.text, p.start_char, p.end_char, p.ordinal) for p in segment_phrases(text)]
+    assert got == reference_segment_phrases(text)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from toonmotion import pipeline
-from toonmotion.bvh import parse_bvh
+from toonmotion.bvh import MAX_JOINTS, parse_bvh
 from toonmotion.cli import main
 from toonmotion.errors import (
     ConfigError,
@@ -25,6 +25,7 @@ from toonmotion.errors import (
     ValidationError,
 )
 from toonmotion.expression_dataset import load_expression_dataset
+from toonmotion.face_engine import MAX_PHONEME_EVENTS
 from toonmotion.pipeline import (
     Config,
     DialogueRequest,
@@ -41,7 +42,7 @@ from toonmotion.providers import (
 )
 from toonmotion.text_semantics import segment_phrases
 
-from conftest import FIXTURES, GOLDENS
+from conftest import FIXTURES, GOLDENS, chain_bvh
 
 CONFIG_PATH = FIXTURES / "config.json"
 
@@ -841,6 +842,18 @@ class TestCli:
             f"error: {clip}: line 4, col 9: expected a number for offset "
             "component, found 'zz'\n")
 
+    def test_validate_gesture_library_with_a_deep_skeleton_exits_1(self, tmp_path,
+                                                                   capsys):
+        shutil.copytree(FIXTURES / "gestures", tmp_path / "gestures")
+        clip = tmp_path / "gestures" / "clips" / "g_hello.bvh"
+        clip.write_text(chain_bvh(3000), encoding="utf-8")
+        code = main(["validate-dataset", "--kind", "gesture",
+                     "--path", str(tmp_path / "gestures" / "gestures.jsonl")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {clip}: line {2 + 4 * MAX_JOINTS}, col 1: "
+            f"skeleton has more than {MAX_JOINTS} joints\n")
+
     def test_validate_bad_gesture_dataset_exits_1(self, tmp_path, capsys):
         path = tmp_path / "g.jsonl"
         path.write_text(json.dumps({
@@ -998,6 +1011,23 @@ def test_phonemes_starting_before_zero_exit_1(tmp_path, capsys, start):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err == f"error: {ph}: event 'a' starts before 0 s, at {start}\n"
+    assert not out.exists()
+
+
+def test_too_many_phoneme_events_exit_1(tmp_path, capsys):
+    count = MAX_PHONEME_EVENTS + 1
+    ph = tmp_path / "ph.json"
+    ph.write_text(json.dumps([{"ph": "a", "start": i / 100, "end": (i + 1) / 100}
+                              for i in range(count)]), encoding="utf-8")
+    out = tmp_path / "o"
+    code = main([
+        "synthesize", "--text", "Hello there.", "--duration", "600",
+        "--config", str(CONFIG_PATH), "--out", str(out), "--phonemes", str(ph),
+    ])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == (f"error: {ph}: phoneme file has {count} events, "
+                            f"more than the {MAX_PHONEME_EVENTS} allowed\n")
     assert not out.exists()
 
 

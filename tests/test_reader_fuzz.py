@@ -1,17 +1,22 @@
-"""Fuzzing every JSON reader: one field of a valid document replaced by an
-arbitrary JSON value must load or raise a ToonmotionError, nothing else."""
+"""Fuzzing every reader: one field of a valid JSON document replaced by an
+arbitrary JSON value must load or raise a ToonmotionError, nothing else; a
+BVH clip mutated token by token must parse or raise a ValidationError."""
 
 import copy
+import io
 import json
 import shutil
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toonmotion.errors import ToonmotionError
+from toonmotion.bvh import MAX_JOINTS, parse_bvh
+from toonmotion.cli import main
+from toonmotion.errors import ToonmotionError, ValidationError
 from toonmotion.expression_dataset import (
     fuse_sources,
     load_expression_dataset,
@@ -248,3 +253,69 @@ def test_oversized_integer_text(workdir, data):
     message = str(info.value)
     assert f"line {line}" in message
     assert f"integer longer than {sys.get_int_max_str_digits()} digits" in message
+
+
+# BVH text, token by token: a fixture clip with tokens dropped, repeated or
+# swapped, and nested or unbalanced `JOINT x {` blocks put in, must parse or
+# raise a ValidationError, and `validate-dataset` on a library holding it
+# must exit 0 or 1 with one error line.
+CLIP_TOKENS = (FIXTURES / "gestures" / "clips" / "g_hello.bvh").read_text("utf-8").split()
+HEADER_TOKENS = CLIP_TOKENS.index("MOTION") + 8
+
+
+def joint_blocks(depth: int, with_body: bool, closed: bool) -> list[str]:
+    body = ["OFFSET", "0", "1", "0", "CHANNELS", "3", "Zrotation", "Xrotation",
+            "Yrotation"] if with_body else []
+    opened = [token for k in range(depth) for token in ("JOINT", f"x{k}", "{", *body)]
+    return opened + ["}"] * (depth if closed else 0)
+
+
+AT = st.integers(0, HEADER_TOKENS)
+TOKEN_EDITS = st.one_of(
+    st.tuples(st.just("drop"), AT),
+    st.tuples(st.just("repeat"), AT, st.integers(1, 3)),
+    st.tuples(st.just("swap"), AT, AT),
+    st.tuples(st.just("nest"), AT,
+              st.one_of(st.integers(1, 3), st.sampled_from([MAX_JOINTS, 1000])),
+              st.booleans(), st.booleans()),
+)
+
+
+def mutated_clip(edits) -> str:
+    tokens = list(CLIP_TOKENS)
+    for op, at, *args in edits:
+        at %= len(tokens) + (op == "nest")
+        if op == "drop":
+            del tokens[at]
+        elif op == "repeat":
+            tokens[at:at] = [tokens[at]] * args[0]
+        elif op == "swap":
+            other = args[0] % len(tokens)
+            tokens[at], tokens[other] = tokens[other], tokens[at]
+        else:
+            tokens[at:at] = joint_blocks(*args)
+    return "\n".join(tokens) + "\n"
+
+
+@pytest.fixture(scope="module")
+def bvh_library(tmp_path_factory):
+    root = tmp_path_factory.mktemp("bvh_fuzz")
+    shutil.copytree(FIXTURES / "gestures", root / "gestures")
+    return root / "gestures"
+
+
+@given(st.lists(TOKEN_EDITS, min_size=1, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_bvh_tokens(bvh_library, edits):
+    text = mutated_clip(edits)
+    try:
+        parse_bvh(text, "g_hello")
+    except ValidationError:
+        pass
+    (bvh_library / "clips" / "g_hello.bvh").write_text(text, encoding="utf-8")
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(["validate-dataset", "--kind", "gesture",
+                     "--path", str(bvh_library / "gestures.jsonl")])
+    assert (code, err.getvalue().count("\n")) in [(0, 0), (1, 1)]
+    assert code == 0 or err.getvalue().startswith("error: ")
