@@ -11,7 +11,8 @@ alternating from pair to pair. Pair ``i`` uses seed ``--seed + i`` on both
 sides. Every run's metrics go to the BENCH file with
 a summary per end-to-end metric of ``BENCHMARK.json`` (each side's median
 and quartiles, and the pairs the change won), the two revisions, the CPU
-count, a machine id and the Python, numpy and scipy versions.
+count, a machine id and the Python, numpy and scipy versions (null for
+one not installed).
 
 ``--check`` recomputes the summary from the stored runs and applies the
 rule a speed claim must meet: runs of ``run_seconds``, at least 10 pairs,
@@ -73,6 +74,15 @@ def machine_id() -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
+def installed_version(package: str) -> str | None:
+    """The installed version of *package*, or None when it is not installed
+    (scipy is a test dependency only)."""
+    try:
+        return metadata.version(package)
+    except metadata.PackageNotFoundError:
+        return None
+
+
 def usage_fault(message: str) -> SystemExit:
     print(f"error: {message}", file=sys.stderr)
     return SystemExit(2)
@@ -130,7 +140,7 @@ def record(args) -> dict:
         "workload": args.workload, "seconds": seconds, "claim": args.claim,
         "revisions": revisions, "cpu_count": os.cpu_count(), "machine_id": host,
         "python": platform.python_version(),
-        "numpy": metadata.version("numpy"), "scipy": metadata.version("scipy"),
+        "numpy": installed_version("numpy"), "scipy": installed_version("scipy"),
         "runs": runs,
     }
     bench["summary"] = summarize(bench)

@@ -19,6 +19,7 @@ import re
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -27,11 +28,10 @@ from .errors import (
     FrameCountMismatch,
     UnsupportedChannelLayout,
 )
-from .jsonutil import decode_utf8, format_float_blocks, line_col
+from .jsonutil import FORMAT_BLOCK_ROWS, decode_utf8, format_float_blocks, line_col
 from .quat import euler_deg_to_quat, quat_to_euler_deg
 
 SUPPORTED_ROTATION_ORDERS = ("ZXY", "ZYX", "XYZ")
-SERIALIZED_ROTATION_ORDER = "ZXY"
 
 _POSITION_CHANNELS = {"Xposition": 0, "Yposition": 1, "Zposition": 2}
 _ROTATION_AXIS = {"Xrotation": "X", "Yrotation": "Y", "Zrotation": "Z"}
@@ -416,16 +416,25 @@ def serialize_bvh(clip: GestureClip) -> bytes:
     lines.append("MOTION")
     lines.append(f"Frames: {clip.frame_count}")
     lines.append(f"Frame Time: {1.0 / clip.fps:.8f}")
-
-    # Euler angles are rounded to 6 decimals and +0.0 folds -0.0 into +0.0,
-    # so angles a hair below zero (identity rotations) do not print as
-    # "-0.000000". Root positions are printed unrounded: the frozen bundle
-    # goldens hold root values that print as "-0.000000", and rounding them
-    # would change bundle bytes.
-    euler = quat_to_euler_deg(clip.rotations, SERIALIZED_ROTATION_ORDER)
-    euler = np.round(euler, 6) + 0.0
-    table = np.concatenate(
-        [clip.root_positions, euler.reshape(clip.frame_count, -1)], axis=1
-    )
     header = "\n".join(lines).encode("utf-8")
-    return b"\n".join([header, *format_float_blocks(table, " ", "\n")]) + b"\n"
+    return b"\n".join([header, *_motion_blocks(clip)]) + b"\n"
+
+
+def _motion_blocks(clip: GestureClip) -> Iterator[bytes]:
+    """The MOTION rows, FORMAT_BLOCK_ROWS frames per bytes object. Each block
+    is converted, rounded and formatted before the next, so the temporaries
+    of the conversion are sized by the block, not the clip."""
+    for start in range(0, clip.frame_count, FORMAT_BLOCK_ROWS):
+        stop = start + FORMAT_BLOCK_ROWS
+        # Euler angles are rounded to 6 decimals and +0.0 folds -0.0 into
+        # +0.0, so angles a hair below zero (identity rotations) do not print
+        # as "-0.000000". Root positions are printed unrounded: the frozen
+        # bundle goldens hold root values that print as "-0.000000", and
+        # rounding them would change bundle bytes.
+        euler = quat_to_euler_deg(clip.rotations[start:stop])
+        np.round(euler, 6, out=euler)
+        euler += 0.0
+        table = np.concatenate(
+            [clip.root_positions[start:stop], euler.reshape(len(euler), -1)], axis=1
+        )
+        yield from format_float_blocks(table, " ", "\n")

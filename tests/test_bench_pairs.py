@@ -1,5 +1,6 @@
-"""The claim rule of scripts/bench_pairs.py on made-up runs."""
+"""The claim rule and the recorder of scripts/bench_pairs.py on made-up runs."""
 
+import argparse
 import importlib.util
 
 import pytest
@@ -63,3 +64,25 @@ def test_mixed_machines_are_refused(capsys):
         bench_pairs.check(bench(PARENT, [v * 1.5 for v in PARENT], machines=("a", "b")))
     assert info.value.code == 2
     assert "runs from 2 machines" in capsys.readouterr().err
+
+
+def test_record_without_scipy_stores_a_null_version(monkeypatch):
+    def version(package):
+        if package == "scipy":
+            raise bench_pairs.metadata.PackageNotFoundError(package)
+        return "9.9"
+
+    monkeypatch.setattr(bench_pairs.metadata, "version", version)
+    monkeypatch.setattr(bench_pairs, "resolve", lambda rev: rev)
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: None)
+    monkeypatch.setattr(bench_pairs, "machine_id", lambda: "m")
+    monkeypatch.setattr(bench_pairs, "run_once", lambda checkout, workload, seed, seconds: {
+        "correct": True, "attempted": 10, "failed": 0,
+        "metrics": {"setup_s": 1.0, "latency_p50_ms": 3.0, "work_per_s": 300.0,
+                    "peak_rss_mb": 100.0}})
+    args = argparse.Namespace(parent="p", change="c", workload="long_monologue",
+                              pairs=2, seed=1, claim="setup_s")
+    recorded = bench_pairs.record(args)
+    assert recorded["scipy"] is None and recorded["numpy"] == "9.9"
+    assert [(run["pair"], run["side"]) for run in recorded["runs"]] == [
+        (0, "parent"), (0, "change"), (1, "change"), (1, "parent")]

@@ -12,11 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
-from toonmotion import bvh
+from toonmotion import bvh, quat
 from toonmotion.bvh import (
     MAX_JOINTS,
     OFFSET_MATCH_TOL,
-    SERIALIZED_ROTATION_ORDER,
     SUPPORTED_ROTATION_ORDERS,
     GestureClip,
     Joint,
@@ -214,8 +213,23 @@ class TestSerialize:
         assert b"-0.000000" not in serialize_bvh(clip)
 
 
+def quat_to_euler_deg_oracle(q):
+    """(w, x, y, z) quats to ZXY degrees through scipy's compiled as_euler."""
+    flat = np.asarray(q, dtype=np.float64).reshape(-1, 4)
+    xyzw = np.concatenate([flat[:, 1:4], flat[:, 0:1]], axis=1)
+    angles = Rotation.from_quat(xyzw).as_euler(
+        "ZXY", degrees=True, suppress_warnings=True)
+    return angles.reshape(np.shape(q)[:-1] + (3,))
+
+
+def rounded(angles):
+    """Angles as the BVH writer prints them: 6 decimals, no negative zero."""
+    return np.round(angles, 6) + 0.0
+
+
 def serialize_bvh_per_value(clip: GestureClip) -> bytes:
-    """Reference serializer: one Euler conversion per joint, one f-string per value."""
+    """Reference serializer: one scipy Euler conversion per joint, one
+    f-string per value."""
     lines = ["HIERARCHY"]
     _write_hierarchy(lines, clip.skeleton)
     lines.append("MOTION")
@@ -224,10 +238,8 @@ def serialize_bvh_per_value(clip: GestureClip) -> bytes:
     n_joints = len(clip.skeleton.joints)
     euler = np.empty((clip.frame_count, n_joints, 3))
     for j in range(n_joints):
-        euler[:, j, :] = quat_to_euler_deg(
-            clip.rotations[:, j, :], SERIALIZED_ROTATION_ORDER
-        )
-    euler = np.round(euler, 6) + 0.0
+        euler[:, j, :] = quat_to_euler_deg_oracle(clip.rotations[:, j, :])
+    euler = rounded(euler)
     for f in range(clip.frame_count):
         parts = [f"{v:.6f}" for v in clip.root_positions[f]]
         for j in range(n_joints):
@@ -690,6 +702,71 @@ class TestEulerToQuatMatchesScipy2d:
         got = euler_deg_to_quat(a, order)
         assert got.shape == (600, 100, 4)
         assert got.tobytes() == euler_deg_to_quat_2d(a, order).tobytes()
+
+
+    @pytest.mark.parametrize("order", SUPPORTED_ROTATION_ORDERS)
+    def test_signed_zero_and_right_angle_rows_bit_for_bit(self, order):
+        values = [0.0, -0.0, 90.0, -90.0, 180.0, -180.0, 270.0, -270.0, 360.0, -360.0]
+        a = np.array(list(itertools.product(values, repeat=3)))
+        got = euler_deg_to_quat(a, order)
+        assert got.tobytes() == euler_deg_to_quat_2d(a, order).tobytes()
+
+
+def exact_band_rows(rng, n):
+    """Quaternions whose ZXY angles fall in the exact band of
+    quat_to_euler_deg, by kind, and rows just outside it."""
+    def zxy(a, b, c):
+        return euler_deg_to_quat(np.stack([a, b, c], axis=-1), "ZXY")
+
+    outer = rng.uniform(-180.0, 180.0, (2, n))
+    sign = rng.choice([-1.0, 1.0], n)
+    # |s| = sin(b), on both sides of the band's edge at 1 - 1e-7.
+    s = 1.0 - 1e-7 * rng.choice([0.5, 0.9, 1.1, 2.0], n)
+    tie = (rng.integers(-180_000_000, 180_000_000, (3, n)) + 0.5) / 1e6
+    tie[1] /= 2.0
+    # Middle angles at +-90 degrees, and off it by less and by more than
+    # the 1e-7 rad within which scipy treats a rotation as gimbal locked.
+    off_lock = np.degrees(rng.choice([0.0, 5e-9, 5e-8, 2e-7], n))
+    return {
+        "gimbal_lock": zxy(outer[0], sign * (90.0 - off_lock), outer[1]),
+        "gimbal_edge": zxy(outer[0], sign * np.degrees(np.arcsin(s)), outer[1]),
+        "at_180": zxy(180.0 * sign, rng.uniform(-89.0, 89.0, n),
+                      rng.choice([-180.0, 180.0], n) + rng.uniform(-1e-10, 1e-10, n)),
+        "ties": zxy(*tie),
+    }
+
+
+class TestQuatToEulerMatchesScipy:
+    def test_a_million_random_rotations_after_rounding(self):
+        q = np.random.default_rng(24).normal(size=(10**6, 4))
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
+        got = quat_to_euler_deg(q.reshape(1000, 1000, 4))
+        assert got.shape == (1000, 1000, 3)
+        want = quat_to_euler_deg_oracle(q).reshape(1000, 1000, 3)
+        assert rounded(got).tobytes() == rounded(want).tobytes()
+
+    @pytest.mark.parametrize("kind", ["gimbal_lock", "gimbal_edge", "at_180", "ties"])
+    def test_band_rows_bit_for_bit(self, kind):
+        rng = np.random.default_rng(7)
+        q = exact_band_rows(rng, 4000)[kind]
+        # Sign and scale must not matter: the exact path normalizes as
+        # scipy does, and the closed form divides by |q|^2.
+        q[::3] *= -1.0
+        q[1::3] *= rng.uniform(0.25, 4.0, (len(q[1::3]), 1))
+        want = quat_to_euler_deg_oracle(q)
+        assert quat._euler_zxy_exact(q).tobytes() == want.tobytes()
+        got = quat_to_euler_deg(q)
+        assert rounded(got).tobytes() == rounded(want).tobytes()
+        w, x, y, z = q.T
+        s = 2.0 * (y * z + w * x) / np.sum(q * q, axis=1)
+        # Rows a hair outside the gimbal band may take the closed form;
+        # every other built row is in the band.
+        exact = np.abs(s) > 1.0 - 0.95e-7 if kind == "gimbal_edge" else slice(None)
+        assert got[exact].tobytes() == want[exact].tobytes()
+
+    def test_zero_quaternion_rejected(self):
+        with pytest.raises(ValueError, match="zero quaternion"):
+            quat_to_euler_deg(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]))
 
 
 class TestNonFiniteNumbers:

@@ -729,18 +729,31 @@ class TestCli:
                                 f"{str(sources)!r}\n")
         assert not out.exists() and not report.exists()
 
-    def test_build_expressions_does_not_import_scipy(self, tmp_path):
-        # scipy takes about 0.4 s to import; only rotation conversions need it.
-        argv = ["build-expressions", "--sources", str(FIXTURES / "expression_sources"),
-                "--out", str(tmp_path / "expr.jsonl")]
+    @pytest.mark.parametrize("command", ["synthesize", "retrieve", "validate-dataset",
+                                         "build-expressions"])
+    def test_commands_do_not_import_scipy(self, tmp_path, command):
+        # scipy takes about 0.4 s to import; it is the tests' rotation oracle only.
+        text = ["--text", "Hello there. That is wonderful!"]
+        argv = {
+            "synthesize": [*text, "--duration", "4.5", "--config", str(CONFIG_PATH),
+                           "--out", str(tmp_path / "out")],
+            "retrieve": [*text, "--config", str(CONFIG_PATH)],
+            "validate-dataset": ["--kind", "gesture", "--path",
+                                 str(FIXTURES / "gestures" / "gestures.jsonl")],
+            "build-expressions": ["--sources", str(FIXTURES / "expression_sources"),
+                                  "--out", str(tmp_path / "expr.jsonl")],
+        }[command]
         script = ("import sys\nfrom toonmotion.cli import main\n"
-                  f"code = main({argv!r})\nprint(code, 'scipy' in sys.modules)\n")
+                  f"code = main({[command, *argv]!r})\n"
+                  "print(code, 'scipy' in sys.modules)\n")
         src = Path(pipeline.__file__).parents[1]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [str(src)] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
         result = subprocess.run([sys.executable, "-c", script], env=env,
                                 capture_output=True, text=True, check=True)
         assert result.stdout.split()[-2:] == ["0", "False"]
+        if command == "synthesize":
+            assert (tmp_path / "out" / "body.bvh").stat().st_size > 0
 
     def test_build_expressions_reproducible(self, tmp_path, capsys):
         a = tmp_path / "a.jsonl"
