@@ -703,7 +703,6 @@ class TestEulerToQuatMatchesScipy2d:
         assert got.shape == (600, 100, 4)
         assert got.tobytes() == euler_deg_to_quat_2d(a, order).tobytes()
 
-
     @pytest.mark.parametrize("order", SUPPORTED_ROTATION_ORDERS)
     def test_signed_zero_and_right_angle_rows_bit_for_bit(self, order):
         values = [0.0, -0.0, 90.0, -90.0, 180.0, -180.0, 270.0, -270.0, 360.0, -360.0]
@@ -722,8 +721,9 @@ def exact_band_rows(rng, n):
     sign = rng.choice([-1.0, 1.0], n)
     # |s| = sin(b), on both sides of the band's edge at 1 - 1e-7.
     s = 1.0 - 1e-7 * rng.choice([0.5, 0.9, 1.1, 2.0], n)
+    # Angles half a millionth of a degree off a 6-decimal value.
     tie = (rng.integers(-180_000_000, 180_000_000, (3, n)) + 0.5) / 1e6
-    tie[1] /= 2.0
+    tie[1] = (rng.integers(-89_000_000, 89_000_000, n) + 0.5) / 1e6
     # Middle angles at +-90 degrees, and off it by less and by more than
     # the 1e-7 rad within which scipy treats a rotation as gimbal locked.
     off_lock = np.degrees(rng.choice([0.0, 5e-9, 5e-8, 2e-7], n))
